@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     BadAlphabet,
@@ -34,16 +34,9 @@ from .errors import (
 )
 from .iet import Iet
 from .iet import coding as iet_coding
-from .numeric import Ball, ExactNumber, Scalarish, compare, format_scalar
-from .pc import PiecewiseContraction, new_pc
+from .numeric import Ball, ExactNumber, Scalarish, as_exact, compare, format_scalar
+from .pc import PiecewiseContraction, ball_piece, ball_step, new_pc
 from .words import SymbolicWord, fibonacci_word, isomorphic
-
-
-def _exact(x: Scalarish) -> ExactNumber:
-    v = ExactNumber._coerce(x)
-    if v is None:
-        raise TypeError(f"expected exact scalar, got {type(x)!r}")
-    return v
 
 
 # --------------------------------------------------------------- gap system
@@ -107,15 +100,17 @@ def build_gap_system(T: Iet, seed: Scalarish, N: int) -> GapSystem:
     """
     if N < 16:
         raise ValueError("truncation depth N must be >= 16")
-    s = _exact(seed)
+    s = as_exact(seed)
     partition = set(T.breakpoints[:-1])
     orbit = []
+    pieces = []
     point = s
     for k in range(N):
         if point in partition:
             raise OrbitHitsBreakpoint(k)
         orbit.append(point)
-        point = T.eval(point)
+        i, point = T.step(point)
+        pieces.append(i)
 
     order = sorted(range(N), key=cmp_to_key(lambda a, b: compare(orbit[a], orbit[b])))
     inf_truncs: list[Optional[Fraction]] = [None] * N
@@ -130,7 +125,7 @@ def build_gap_system(T: Iet, seed: Scalarish, N: int) -> GapSystem:
         pending += Fraction(1, 2 ** (idx + 1))
         prev = orbit[idx]
 
-    piece_of = tuple(T.piece_index(p) for p in orbit)
+    piece_of = tuple(pieces)
     bp_truncs = [Fraction(0)]
     for i in range(1, T.n):
         y = T.breakpoints[i]
@@ -279,7 +274,7 @@ def build_pc_from_iet(
     if seed is None:
         s = default_seed(T, N)
     else:
-        s = _exact(seed)
+        s = as_exact(seed)
         if all(s != v for v in valid_seeds(T)):
             raise InvalidSeed(
                 f"seed {s} is not the image of a partition endpoint; "
@@ -292,12 +287,7 @@ def build_pc_from_iet(
     n = T.n
     # seed piece: the piece whose image interval starts at the seed; the
     # hole (the untouched first gap) sits immediately below that image.
-    seed_piece = None
-    for i in range(n):
-        if T.images[i].lo == s:
-            seed_piece = i + 1
-            break
-    assert seed_piece is not None
+    seed_piece = T.image_piece_index(s)
 
     # exact dyadic representative: chain truncated widths so that domain
     # pieces tile [0, 1) and image intervals are verifiably disjoint
@@ -486,7 +476,7 @@ def robust_certificate(cpc: ConstructedPc, cert) -> bool:
         return s * yhi + blo, yhi_open, s * ylo + bhi, ylo_open
 
     # preperiod: the start orbit, inflated, must land inside the cylinder
-    y = _exact(cert.start)
+    y = as_exact(cert.start)
     y_lo, y_lo_open, y_hi, y_hi_open = y, False, y, False
     for letter in cert.preperiod:
         out = step(y_lo, y_lo_open, y_hi, y_hi_open, letter)
@@ -604,20 +594,6 @@ class SemiconjugacyReport:
         }
 
 
-def _ball_piece(
-    lo: Fraction, hi: Fraction, bp_balls: Sequence[Ball], n: int
-) -> Optional[int]:
-    """Piece certainly containing [lo, hi], or None when a breakpoint ball
-    gets in the way.  Piece 1's floor is exactly 0: points below 0 do not
-    exist, so only the upper edge matters there."""
-    for i in range(1, n + 1):
-        low_ok = i == 1 or lo >= bp_balls[i - 1].hi
-        high_ok = hi < bp_balls[i].lo
-        if low_ok and high_ok:
-            return i
-    return None
-
-
 def verify_semiconjugacy(
     cpc: ConstructedPc, T: Iet, L: int, samples: int
 ) -> SemiconjugacyReport:
@@ -635,40 +611,39 @@ def verify_semiconjugacy(
     if samples > gs.depth:
         raise ValueError("samples cannot exceed the gap-system depth")
     n = T.n
-    slopes = [s.to_fraction() for s in cpc.pc.slopes]
-    bp_balls = cpc.breakpoint_balls
+    # exact slopes keep every step exact: no rounding grid below
+    slopes = [Ball.point(s.to_fraction()) for s in cpc.pc.slopes]
+    lower = [b.lo for b in cpc.breakpoint_balls]
+    upper = [b.hi for b in cpc.breakpoint_balls]
     agree = disagree = undecided = 0
     first_disagreement = None
     relabeling_ok = True
     for k in range(1, samples + 1):
         t_word = iet_coding(T, gs.orbit[k - 1], L)
-        start = gs.gap_mid_ball(k)
-        center, radius = start.center, start.radius
+        ball = gs.gap_mid_ball(k)
         f_letters: list[int] = []
         for j in range(L):
-            piece = _ball_piece(center - radius, center + radius, bp_balls, n)
+            piece = ball_piece(ball, lower, upper)
             if piece is None:
                 undecided += L - j
                 break
             f_letters.append(piece)
+            ball = ball_step(ball, slopes[piece - 1], cpc.intercept_balls[piece - 1])
+        if not f_letters:
+            continue
+        # the letter bijection over the decided prefix must be the identity
+        iso = isomorphic(
+            SymbolicWord(tuple(f_letters), n), t_word.prefix(len(f_letters))
+        )
+        if iso is None or any(a != b for a, b in iso.items()):
+            relabeling_ok = False
+        for j, piece in enumerate(f_letters):
             if piece == t_word[j]:
                 agree += 1
             else:
                 disagree += 1
                 if first_disagreement is None:
                     first_disagreement = (k, j)
-            ib = cpc.intercept_balls[piece - 1]
-            center = slopes[piece - 1] * center + ib.center
-            radius = abs(slopes[piece - 1]) * radius + ib.radius
-        if f_letters and all(
-            f_letters[j] == t_word[j] for j in range(len(f_letters))
-        ):
-            iso = isomorphic(
-                SymbolicWord(tuple(f_letters), n),
-                SymbolicWord(tuple(t_word.symbols[: len(f_letters)]), n),
-            )
-            if iso is None or any(a != b for a, b in iso.items()):
-                relabeling_ok = False
     return SemiconjugacyReport(
         samples=samples,
         length=L,

@@ -10,8 +10,10 @@ and makes every piece image a half-open interval [lo, hi).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -21,15 +23,8 @@ from .errors import (
     OutOfDomain,
 )
 from .intervals import Interval
-from .numeric import ExactNumber, Scalarish
+from .numeric import ExactNumber, Scalarish, as_exact
 from .words import ComplexityTable, SymbolicWord
-
-
-def _exact(x: Scalarish) -> ExactNumber:
-    v = ExactNumber._coerce(x)
-    if v is None:
-        raise TypeError(f"expected exact scalar, got {type(x)!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -49,42 +44,42 @@ class Iet:
     def interior_breakpoints(self) -> tuple[ExactNumber, ...]:
         return self.breakpoints[1:-1]
 
+    def step(self, x: Scalarish) -> tuple[int, ExactNumber]:
+        """(index of the piece containing x, T(x)): one exact orbit step."""
+        v = as_exact(x)
+        i = bisect_right(self.breakpoints, v)
+        if not 1 <= i <= self.n:
+            raise OutOfDomain(f"{v} outside [0, 1)")
+        if self.signs[i - 1] == 1:
+            return i, v + self.translations[i - 1]
+        if v == self.breakpoints[i - 1]:
+            return i, self.images[i - 1].lo
+        return i, self.translations[i - 1] - v
+
     def piece_index(self, x: Scalarish) -> int:
         """1-based index of the half-open piece containing x."""
-        v = _exact(x)
-        if v < 0 or v >= 1:
-            raise OutOfDomain(f"{v} outside [0, 1)")
-        lo = 0
-        hi = self.n - 1  # candidate piece indices, 0-based
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if v >= self.breakpoints[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
+        return self.step(x)[0]
 
     def eval(self, x: Scalarish) -> ExactNumber:
-        v = _exact(x)
-        i = self.piece_index(v)
-        if self.signs[i - 1] == 1:
-            return v + self.translations[i - 1]
-        if v == self.breakpoints[i - 1]:
-            return self.images[i - 1].lo
-        return self.translations[i - 1] - v
+        return self.step(x)[1]
+
+    @cached_property
+    def _image_order(self) -> tuple[tuple[ExactNumber, ...], tuple[int, ...]]:
+        """Left ends of the piece images in increasing order, and their pieces."""
+        order = sorted(range(self.n), key=lambda i: self.images[i].lo)
+        return tuple(self.images[i].lo for i in order), tuple(i + 1 for i in order)
 
     def image_piece_index(self, y: Scalarish) -> int:
         """1-based piece index whose image contains y."""
-        v = _exact(y)
+        v = as_exact(y)
         if v < 0 or v >= 1:
             raise OutOfDomain(f"{v} outside [0, 1)")
-        for i, img in enumerate(self.images):
-            if img.lo <= v and v < img.hi:
-                return i + 1
-        raise OutOfDomain(f"{v} not covered by any piece image")
+        starts, pieces = self._image_order
+        # the images tile [0, 1), so the last image starting at or below v holds it
+        return pieces[bisect_right(starts, v) - 1]
 
     def eval_inverse(self, y: Scalarish) -> ExactNumber:
-        v = _exact(y)
+        v = as_exact(y)
         j = self.image_piece_index(v)
         if self.signs[j - 1] == 1:
             return v - self.translations[j - 1]
@@ -109,8 +104,8 @@ def new_iet(
     translations: Sequence[Scalarish],
 ) -> Iet:
     """Validate and build an IET; raises BadPartition or NotBijective."""
-    bps = tuple(_exact(b) for b in breakpoints)
-    trs = tuple(_exact(t) for t in translations)
+    bps = tuple(as_exact(b) for b in breakpoints)
+    trs = tuple(as_exact(t) for t in translations)
     sgs = tuple(int(s) for s in signs)
     n = len(sgs)
     if n < 1 or len(bps) != n + 1 or len(trs) != n:
@@ -148,11 +143,11 @@ def coding(T: Iet, x: Scalarish, length: int) -> SymbolicWord:
     """Natural coding: letter at step k is the piece containing T^k(x)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    point = _exact(x)
+    point = as_exact(x)
     letters = []
     for _ in range(length):
-        letters.append(T.piece_index(point))
-        point = T.eval(point)
+        i, point = T.step(point)
+        letters.append(i)
     return SymbolicWord(tuple(letters), T.n, "iet coding")
 
 
@@ -233,7 +228,7 @@ def refinement_complexity(T: Iet, x_regular: Scalarish, k_max: int) -> Refinemen
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    point = _exact(x_regular)
+    point = as_exact(x_regular)
     interior = set(T.interior_breakpoints)
     for step in range(k_max + 1):
         if point in interior:
@@ -292,7 +287,7 @@ def keane_minimality_certificate(T: Iet, depth: int) -> MinimalityCertificate:
 
 def rotation_iet(alpha: Scalarish) -> Iet:
     """The rotation x -> x + alpha (mod 1) as a 2-piece exchange."""
-    a = _exact(alpha)
+    a = as_exact(alpha)
     if not (a > 0 and a < 1):
         raise BadPartition("rotation angle must lie in (0, 1)")
     one = ExactNumber(1)
@@ -312,7 +307,7 @@ def from_lengths_and_permutation(
 
     permutation[i] is the 1-based position of piece i+1 in the image order.
     """
-    lens = [_exact(v) for v in lengths]
+    lens = [as_exact(v) for v in lengths]
     n = len(lens)
     perm = tuple(int(p) for p in permutation)
     if sorted(perm) != list(range(1, n + 1)):

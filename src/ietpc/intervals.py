@@ -8,14 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numeric import ExactNumber, Scalarish
-
-
-def _exact(x: Scalarish) -> ExactNumber:
-    v = ExactNumber._coerce(x)
-    if v is None:
-        raise TypeError(f"expected exact scalar, got {type(x)!r}")
-    return v
+from .numeric import ExactNumber, Scalarish, as_exact
 
 
 @dataclass(frozen=True)
@@ -26,18 +19,15 @@ class Interval:
     hi_closed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _exact(self.lo))
-        object.__setattr__(self, "hi", _exact(self.hi))
+        object.__setattr__(self, "lo", as_exact(self.lo))
+        object.__setattr__(self, "hi", as_exact(self.hi))
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise ValueError("degenerate interval must be a closed point")
 
-    def length(self) -> ExactNumber:
-        return self.hi - self.lo
-
     def contains(self, x: Scalarish) -> bool:
-        v = _exact(x)
+        v = as_exact(x)
         if v < self.lo or v > self.hi:
             return False
         if v == self.lo and not self.lo_closed:
@@ -65,10 +55,6 @@ class Interval:
         ):
             return False
         return True
-
-    def strictly_inside(self, other: "Interval") -> bool:
-        """True when the closure of self lies in the interior of other."""
-        return other.lo < self.lo and self.hi < other.hi
 
     def intersect(self, other: "Interval") -> "Interval | None":
         if self.lo > other.lo:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 from .errors import DivisionByZero, IncompatibleRadicands
@@ -244,17 +244,17 @@ class ExactNumber:
         return format_scalar(self)
 
 
+def as_exact(x: Scalarish) -> ExactNumber:
+    """x as an ExactNumber; TypeError for anything but an exact scalar."""
+    v = ExactNumber._coerce(x)
+    if v is None:
+        raise TypeError(f"expected exact scalar, got {type(x)!r}")
+    return v
+
+
 def compare(a: Scalarish, b: Scalarish) -> int:
     """Exact three-way comparison: -1, 0 or 1."""
-    ea = ExactNumber._coerce(a)
-    eb = ExactNumber._coerce(b)
-    if ea is None or eb is None:
-        raise TypeError("compare expects exact scalars")
-    return ea._cmp(eb)
-
-
-ZERO = ExactNumber(0)
-ONE = ExactNumber(1)
+    return as_exact(a)._cmp(as_exact(b))
 
 
 # ================================================================== balls
@@ -320,9 +320,7 @@ class Ball:
     # ------------------------------------------------------------ queries
 
     def contains(self, x: Scalarish) -> bool:
-        v = ExactNumber._coerce(x)
-        if v is None:
-            raise TypeError("contains expects an exact scalar")
+        v = as_exact(x)
         return v >= self.lo and v <= self.hi
 
     def contains_ball(self, other: "Ball") -> bool:
@@ -367,9 +365,6 @@ class Ball:
             raise ValueError("scale factor must be dyadic")
         return Ball(self.center * s, self.radius * abs(s))
 
-    def widened(self, slack: Fraction) -> "Ball":
-        return Ball(self.center, self.radius + Fraction(slack))
-
     def __repr__(self) -> str:
         return f"Ball(center={self.center}, radius={self.radius})"
 
@@ -379,9 +374,7 @@ def to_ball(x: Scalarish, precision_bits: int) -> Ball:
 
     Exact dyadic inputs come back with radius 0.
     """
-    v = ExactNumber._coerce(x)
-    if v is None:
-        raise TypeError("to_ball expects an exact scalar")
+    v = as_exact(x)
     if precision_bits < 0:
         raise ValueError("precision_bits must be nonnegative")
     m = precision_bits + 3
@@ -440,24 +433,16 @@ def parse_scalar(text: str) -> ExactNumber:
 
 def format_scalar(x: Scalarish) -> str:
     """Canonical text for a scalar; parse_scalar round-trips it bit-exactly."""
-    v = ExactNumber._coerce(x)
-    if v is None:
-        raise TypeError("format_scalar expects an exact scalar")
+    v = as_exact(x)
     if v.is_rational:
         fr = v.rational_part
         return f"{fr.numerator}/{fr.denominator}"
     # Common denominator, then strip the overall gcd.
     ra, rc = v.rational_part, v.surd_coef
-    c = ra.denominator * rc.denominator // _gcd(ra.denominator, rc.denominator)
+    c = lcm(ra.denominator, rc.denominator)
     a = ra.numerator * (c // ra.denominator)
     b = rc.numerator * (c // rc.denominator)
-    g = _gcd(_gcd(abs(a), abs(b)), c)
+    g = gcd(a, b, c)
     a, b, c = a // g, b // g, c // g
     sign = "+" if b >= 0 else "-"
     return f"({a}{sign}{abs(b)}*sqrt({v.radicand}))/{c}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -8,6 +8,7 @@ not tile [0, 1); they only have to stay inside it and be pairwise disjoint.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,16 +25,18 @@ from .errors import (
     PeriodicOrbit,
 )
 from .intervals import Interval
-from .numeric import Ball, ExactNumber, Scalarish, format_scalar, parse_scalar, to_ball
+from .numeric import (
+    Ball,
+    ExactNumber,
+    Scalarish,
+    as_exact,
+    dyadic_ceil,
+    format_scalar,
+    parse_scalar,
+    to_ball,
+)
 
 DEFAULT_BIT_BUDGET = 4096
-
-
-def _exact(x: Scalarish) -> ExactNumber:
-    v = ExactNumber._coerce(x)
-    if v is None:
-        raise TypeError(f"expected exact scalar, got {type(x)!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -56,24 +59,20 @@ class PiecewiseContraction:
     def piece_interval(self, i: int) -> Interval:
         return Interval(self.breakpoints[i - 1], self.breakpoints[i])
 
-    def piece_index(self, x: Scalarish) -> int:
-        v = _exact(x)
-        if v < 0 or v >= 1:
+    def step(self, x: Scalarish) -> tuple[int, ExactNumber]:
+        """(index of the piece containing x, f(x)): one exact orbit step."""
+        v = as_exact(x)
+        i = bisect_right(self.breakpoints, v)
+        if not 1 <= i <= self.n:
             raise OutOfDomain(f"{v} outside [0, 1)")
-        lo = 0
-        hi = self.n - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if v >= self.breakpoints[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
+        return i, self.slopes[i - 1] * v + self.intercepts[i - 1]
+
+    def piece_index(self, x: Scalarish) -> int:
+        """1-based index of the half-open piece containing x."""
+        return self.step(x)[0]
 
     def eval(self, x: Scalarish) -> ExactNumber:
-        v = _exact(x)
-        i = self.piece_index(v)
-        return self.slopes[i - 1] * v + self.intercepts[i - 1]
+        return self.step(x)[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,9 +90,9 @@ def new_pc(
 ) -> PiecewiseContraction:
     """Validate and build; raises BadPartition, NotContracting, NotInjective,
     or ImageEscapes."""
-    bps = tuple(_exact(b) for b in breakpoints)
-    sls = tuple(_exact(s) for s in slopes)
-    ics = tuple(_exact(c) for c in intercepts)
+    bps = tuple(as_exact(b) for b in breakpoints)
+    sls = tuple(as_exact(s) for s in slopes)
+    ics = tuple(as_exact(c) for c in intercepts)
     n = len(sls)
     if n < 1 or len(bps) != n + 1 or len(ics) != n:
         raise BadPartition("need n+1 breakpoints, n slopes, n intercepts")
@@ -146,54 +145,70 @@ def coding(
 
     if length < 1:
         raise ValueError("length must be >= 1")
-    if approximate:
-        return _coding_ball(f, _exact(x), length, precision_bits)
-    point = _exact(x)
+    point = as_exact(x)
     letters = []
-    for step in range(length):
+    if approximate:
+        slope_balls, intercept_balls, grid = _ball_params(f, precision_bits)
+        ball = to_ball(point, precision_bits)
+        for k in range(length):
+            i = ball_piece(ball, f.breakpoints, f.breakpoints)
+            if i is None:
+                raise CodingUndecidable(k)
+            letters.append(i)
+            ball = ball_step(ball, slope_balls[i - 1], intercept_balls[i - 1], grid)
+        return SymbolicWord(tuple(letters), f.n, "pc coding (ball)")
+    for k in range(length):
         bits = point.bit_size()
         if bits > bit_budget:
-            raise DenominatorBlowup(step, bits, bit_budget)
-        i = f.piece_index(point)
+            raise DenominatorBlowup(k, bits, bit_budget)
+        i, point = f.step(point)
         letters.append(i)
-        point = f.slopes[i - 1] * point + f.intercepts[i - 1]
     return SymbolicWord(tuple(letters), f.n, "pc coding")
 
 
-def _coding_ball(f: PiecewiseContraction, x: ExactNumber, length: int, precision_bits: int):
-    from .words import SymbolicWord
+def ball_piece(ball: Ball, lower_edges: Sequence, upper_edges: Sequence) -> Optional[int]:
+    """The piece that certainly contains the ball, or None.
 
-    slope_balls = [to_ball(s, precision_bits) for s in f.slopes]
-    intercept_balls = [to_ball(c, precision_bits) for c in f.intercepts]
-    ball = to_ball(x, precision_bits)
-    letters = []
-    for step in range(length):
-        i = None
-        for idx in range(1, f.n + 1):
-            lo, hi = f.breakpoints[idx - 1], f.breakpoints[idx]
-            if (lo <= ball.lo or lo == 0) and ball.hi < hi:
-                i = idx
-                break
-        if i is None:
-            raise CodingUndecidable(step)
-        letters.append(i)
-        prod = _ball_mul(slope_balls[i - 1], ball, precision_bits)
-        ball = prod + intercept_balls[i - 1]
-    return SymbolicWord(tuple(letters), f.n, "pc coding (ball)")
+    Breakpoint i is known to lie in [lower_edges[i], upper_edges[i]], and
+    both edge lists are nondecreasing; exact breakpoints pass one list as
+    both.  Piece i certainly holds the ball when upper_edges[i-1] <= ball.lo
+    and ball.hi < lower_edges[i].  Piece 1's floor is exactly 0: points
+    below 0 do not exist, so only its upper edge matters.
+    """
+    lo, hi = ball.lo, ball.hi
+    i = bisect_right(lower_edges, hi, 1)  # first piece whose top clears the ball
+    if i < len(lower_edges) and (i == 1 or upper_edges[i - 1] <= lo):
+        return i
+    return None
 
 
-def _ball_mul(a: Ball, b: Ball, precision_bits: int) -> Ball:
-    """Outward-rounded product of two balls."""
-    from .numeric import dyadic_ceil
+def ball_step(ball: Ball, slope: Ball, intercept: Ball, grid: Optional[int] = None) -> Ball:
+    """A ball holding s*x + c for every s in slope, x in ball, c in intercept.
 
-    center = a.center * b.center
+    With grid, the product's center is rounded down onto the 2**-grid
+    lattice and the radius grown to cover the rounding, which keeps long
+    orbits at bounded size; without, the step is exact.
+    """
+    center = slope.center * ball.center
     radius = (
-        abs(a.center) * b.radius + abs(b.center) * a.radius + a.radius * b.radius
+        abs(slope.center) * ball.radius
+        + abs(ball.center) * slope.radius
+        + slope.radius * ball.radius
     )
-    grid = max(precision_bits + 8, 16)
-    c_lo = Fraction(math.floor(center * 2**grid), 2**grid)
-    slack = center - c_lo
-    return Ball(c_lo, dyadic_ceil(radius + slack, grid))
+    if grid is not None:
+        c_lo = Fraction(math.floor(center * 2**grid), 2**grid)
+        radius = dyadic_ceil(radius + center - c_lo, grid)
+        center = c_lo
+    return Ball(center + intercept.center, radius + intercept.radius)
+
+
+def _ball_params(f: PiecewiseContraction, precision_bits: int):
+    """Slope balls, intercept balls and rounding grid of a ball orbit of f."""
+    return (
+        [to_ball(s, precision_bits) for s in f.slopes],
+        [to_ball(c, precision_bits) for c in f.intercepts],
+        max(precision_bits + 8, 16),
+    )
 
 
 # ------------------------------------------------------- periodic certificates
@@ -314,26 +329,17 @@ class PeriodicCertificate:
         )
 
 
-def _float_params(f: PiecewiseContraction):
+def _float_orbit(f: PiecewiseContraction, x0: float, length: int):
+    """(points, letters) of the float orbit; cheap candidate generator only."""
     bps = [float(b) for b in f.breakpoints]
     sls = [float(s) for s in f.slopes]
     ics = [float(c) for c in f.intercepts]
-    return bps, sls, ics
-
-
-def _float_orbit(f: PiecewiseContraction, x0: float, length: int):
-    """(points, letters) of the float orbit; cheap candidate generator only."""
-    bps, sls, ics = _float_params(f)
     n = f.n
     pts = [0.0] * length
     lets = [0] * length
     x = x0
     for k in range(length):
-        i = n
-        for idx in range(1, n):
-            if x < bps[idx]:
-                i = idx
-                break
+        i = bisect_right(bps, x, 1, n)
         pts[k] = x
         lets[k] = i
         x = sls[i - 1] * x + ics[i - 1]
@@ -345,7 +351,8 @@ def _float_orbit(f: PiecewiseContraction, x0: float, length: int):
 
 
 def _detection_candidates(f: PiecewiseContraction, x: ExactNumber, detect_len: int):
-    """Candidate (q, p) pairs from the float orbit, cheapest-first."""
+    """Candidate (q, p) pairs from the float orbit, cheapest-first, and the
+    float orbit's letters."""
     from .words import SymbolicWord, detect_eventual_period
 
     pts, lets = _float_orbit(f, float(x), detect_len)
@@ -368,7 +375,17 @@ def _detection_candidates(f: PiecewiseContraction, x: ExactNumber, detect_len: i
         for pair in ((q, p), (q, 2 * p)):
             if pair not in out and pair[1] >= 1:
                 out.append(pair)
-    return sorted(out, key=lambda t: (t[0], t[1]))
+    return sorted(out, key=lambda t: (t[0], t[1])), lets
+
+
+def _enclosed_representative(f) -> Optional[PiecewiseContraction]:
+    """The exact representative when f carries parameter enclosures (as
+    construct.ConstructedPc does), else None.  Duck-typed on the .pc and
+    .intercept_balls attributes, so any such carrier qualifies."""
+    wrapped = getattr(f, "pc", None)
+    if wrapped is not None and hasattr(f, "intercept_balls"):
+        return wrapped
+    return None
 
 
 def certify_periodic(
@@ -392,16 +409,15 @@ def certify_periodic(
     far below the enclosure radii and is rejected, so the answer speaks
     for the true map, not for its representative.
     """
-    wrapped = getattr(f, "pc", None)
-    if wrapped is not None and hasattr(f, "intercept_balls"):
-        from .construct import robust_certificate
+    rep = _enclosed_representative(f)
+    if rep is None:
+        return _certify_exact(f, x, budget, bit_budget)
+    from .construct import robust_certificate
 
-        cpc = f
-        return _certify_exact(
-            wrapped, x, budget, bit_budget,
-            _accept=lambda cert: robust_certificate(cpc, cert),
-        )
-    return _certify_exact(f, x, budget, bit_budget)
+    return _certify_exact(
+        rep, x, budget, bit_budget,
+        _accept=lambda cert: robust_certificate(f, cert),
+    )
 
 
 def _certify_exact(
@@ -411,23 +427,25 @@ def _certify_exact(
     bit_budget: int,
     _accept=None,
 ) -> Optional[PeriodicCertificate]:
-    x0 = _exact(x)
-    candidates = _detection_candidates(f, x0, budget)
+    x0 = as_exact(x)
+    candidates, float_letters = _detection_candidates(f, x0, budget)
     if not candidates:
         return None
 
+    # orbit[t] is f^t(x0) and letters[t] its piece, for t < len(letters)
     orbit = [x0]
+    letters: list[int] = []
 
-    def orbit_point(m: int) -> Optional[ExactNumber]:
+    def orbit_point(m: int) -> ExactNumber:
         while len(orbit) <= m:
             point = orbit[-1]
             if point.bit_size() > bit_budget:
                 raise DenominatorBlowup(len(orbit) - 1, point.bit_size(), bit_budget)
-            i = f.piece_index(point)
-            orbit.append(f.slopes[i - 1] * point + f.intercepts[i - 1])
+            i, point = f.step(point)
+            letters.append(i)
+            orbit.append(point)
         return orbit[m]
 
-    _, float_letters = _float_orbit(f, float(x0), budget)
     for q_hint, p in candidates:
         if q_hint + 2 * p + 1 > budget:
             continue
@@ -444,7 +462,7 @@ def _certify_exact(
             y = orbit_point(m)
             if not C.contains(y):
                 continue
-            pre = tuple(f.piece_index(orbit_point(t)) for t in range(m))
+            pre = tuple(letters[:m])
             fixed = c / (ExactNumber(1) - a)
             if not C.contains(fixed):
                 continue
@@ -493,10 +511,9 @@ def check_certificate(f: PiecewiseContraction, cert: PeriodicCertificate) -> boo
         return False
     point = cert.start
     for m in range(cert.q):
-        i = f.piece_index(point)
+        i, point = f.step(point)
         if i != cert.preperiod[m]:
             return False
-        point = f.slopes[i - 1] * point + f.intercepts[i - 1]
     return C.contains(point)
 
 
@@ -545,8 +562,6 @@ def _orbit_stats(
     under bit_budget bits; past that the orbit continues as an
     outward-rounded ball and the result is flagged approximate.
     """
-    import bisect as _bisect
-
     n = f.n
     pts = [0.0] * length
     lets = [0] * length
@@ -560,7 +575,7 @@ def _orbit_stats(
         ics = [c.to_fraction() for c in f.intercepts]
         point = x0.to_fraction()
         while k < length and _fraction_bits(point) <= bit_budget:
-            i = _bisect.bisect_right(bps, point, 1, n)
+            i = bisect_right(bps, point, 1, n)
             pts[k] = float(point)
             lets[k] = i
             point = sls[i - 1] * point + ics[i - 1]
@@ -569,33 +584,24 @@ def _orbit_stats(
     else:
         point = x0
         while k < length and point.bit_size() <= bit_budget:
-            i = f.piece_index(point)
             pts[k] = float(point)
-            lets[k] = i
-            point = f.slopes[i - 1] * point + f.intercepts[i - 1]
+            lets[k], point = f.step(point)
             k += 1
         carry = point
     if k == length:
         return pts, lets, False
 
-    slope_balls = [to_ball(s, precision_bits) for s in f.slopes]
-    intercept_balls = [to_ball(c, precision_bits) for c in f.intercepts]
+    slope_balls, intercept_balls, grid = _ball_params(f, precision_bits)
     ball = to_ball(carry, precision_bits)
     while k < length:
-        i = None
-        for idx in range(1, n + 1):
-            lo, hi = f.breakpoints[idx - 1], f.breakpoints[idx]
-            if (lo <= ball.lo or lo == 0) and ball.hi < hi:
-                i = idx
-                break
+        i = ball_piece(ball, f.breakpoints, f.breakpoints)
         if i is None:
             # ball straddles a breakpoint; pick the center's piece and let
             # the approximate flag own the ambiguity
             i = f.piece_index(ExactNumber(ball.center))
         pts[k] = float(ball.center)
         lets[k] = i
-        prod = _ball_mul(slope_balls[i - 1], ball, precision_bits)
-        ball = prod + intercept_balls[i - 1]
+        ball = ball_step(ball, slope_balls[i - 1], intercept_balls[i - 1], grid)
         k += 1
     return pts, lets, True
 
@@ -628,11 +634,8 @@ def empirical_factor(
         raise ValueError("grid_size must be >= 2")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    rep = f
-    wrapped = getattr(f, "pc", None)
-    if wrapped is not None and hasattr(f, "intercept_balls"):
-        rep = wrapped
-    x0 = _exact(x)
+    rep = _enclosed_representative(f) or f
+    x0 = as_exact(x)
     cert = certify_periodic(f, x0)
     if cert is not None:
         raise PeriodicOrbit(

@@ -8,7 +8,6 @@ they care about.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -105,9 +104,6 @@ class ComplexityTable:
         out["beta"] = self.beta
         out["k0"] = self.k0
         return out
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def factors(word: SymbolicWord, k: int) -> set[tuple[int, ...]]:

@@ -24,6 +24,7 @@ from ietpc import (
     build_pc_from_iet,
     certify_periodic,
     default_seed,
+    empirical_factor,
     golden_rotation,
     iet_coding,
     new_iet,
@@ -252,6 +253,7 @@ def test_verify_detects_corrupted_intercepts(cpc64, golden):
     report = verify_semiconjugacy(bad, golden, 64, 20)
     assert report.decided_disagree > 0
     assert not report.passed
+    assert not report.relabeling_identity
     assert report.first_disagreement is not None
     sample, position = report.first_disagreement
     assert position <= 20  # a 2^-10 shift cannot hide for long
@@ -320,3 +322,13 @@ def test_representative_lock_in_is_not_family_robust(cpc64):
     assert rep_cert.p == 34
     assert not robust_certificate(cpc64, rep_cert)
     assert certify_periodic(cpc64, Fraction(1, 3)) is None
+
+
+def test_empirical_factor_continues_in_balls_past_the_bit_budget(cpc64):
+    """A 256-bit budget runs out after 192 exact steps, so most samples come
+    from the outward-rounded ball orbit; its figures are pinned."""
+    fac = empirical_factor(cpc64, 0, m=1000, bit_budget=256)
+    assert fac.approximate
+    assert fac.visit_counts == (618, 382)
+    assert fac.breakpoints_hat == (0.0, 0.618, 1.0)
+    assert fac.residual == 0.0010000000000000564

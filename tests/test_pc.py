@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ietpc import (
+    Ball,
     BadPartition,
     CodingUndecidable,
     DenominatorBlowup,
@@ -20,9 +23,11 @@ from ietpc import (
     certify_periodic,
     check_certificate,
     empirical_factor,
+    new_iet,
     new_pc,
     pc_coding,
 )
+from ietpc.pc import ball_piece
 
 HALF = Fraction(1, 2)
 
@@ -68,6 +73,22 @@ def test_new_pc_rejects_overlapping_images():
         new_pc([0, HALF, 1], [HALF, HALF], [0, Fraction(-1, 4)])
 
 
+def _random_exchange(rng, bps):
+    """An exchange of the given pieces in random order with random flips."""
+    n = len(bps) - 1
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    order = rng.sample(range(n), n)
+    start, pos = {}, Fraction(0)
+    for i in order:
+        start[i] = pos
+        pos += bps[i + 1] - bps[i]
+    translations = [
+        start[i] - bps[i] if signs[i] == 1 else start[i] + bps[i + 1]
+        for i in range(n)
+    ]
+    return new_iet(bps, signs, translations)
+
+
 def test_piece_index_matches_linear_scan():
     rng = random.Random(3)
     for _ in range(20):
@@ -75,12 +96,49 @@ def test_piece_index_matches_linear_scan():
         bps = [Fraction(0)] + cuts + [Fraction(1)]
         n = len(bps) - 1
         f = new_pc(bps, [Fraction(1, 4)] * n, [Fraction(k, 2 * n) for k in range(n)])
-        for _ in range(25):
-            x = Fraction(rng.randint(0, 239), 240)
+        T = _random_exchange(rng, bps)
+        # left endpoints matter for flipped pieces, whose step is special there
+        xs = bps[:-1] + [Fraction(rng.randint(0, 239), 240) for _ in range(25)]
+        for x in xs:
             expect = max(i for i in range(1, n + 1) if bps[i - 1] <= x)
             assert f.piece_index(x) == expect
-    with pytest.raises(OutOfDomain):
-        one_piece().piece_index(1)
+            assert T.piece_index(x) == expect
+            i, y = T.step(x)
+            assert i == expect and T.images[i - 1].contains(y)
+        for x in (Fraction(-1, 7), 1, Fraction(3, 2)):
+            for g in (f, T):
+                with pytest.raises(OutOfDomain):
+                    g.piece_index(x)
+
+
+def _ball_piece_scan(ball, lower, upper):
+    """Reference locator: the first piece that certainly holds the ball."""
+    for i in range(1, len(lower)):
+        if (i == 1 or upper[i - 1] <= ball.lo) and ball.hi < lower[i]:
+            return i
+    return None
+
+
+def test_ball_piece_matches_linear_scan():
+    rng = random.Random(5)
+    grid = Fraction(1, 64)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        lower = [Fraction(0)] + sorted(rng.randint(0, 64) * grid for _ in range(n - 1))
+        lower.append(Fraction(1))
+        # nondecreasing upper edges, each at or above its lower edge
+        upper = [lower[0]]
+        for lo in lower[1:]:
+            upper.append(max(upper[-1], lo + rng.randint(0, 3) * grid))
+        for _ in range(20):
+            a, b = sorted(rng.randint(-4, 68) * grid for _ in range(2))
+            ball = Ball.from_endpoints(a, b)
+            assert ball_piece(ball, lower, upper) == _ball_piece_scan(ball, lower, upper)
+    # exact breakpoints: both edge lists are the breakpoints themselves
+    f = two_piece()
+    assert ball_piece(Ball.point(Fraction(1, 4)), f.breakpoints, f.breakpoints) == 1
+    assert ball_piece(Ball.point(HALF), f.breakpoints, f.breakpoints) == 2
+    assert ball_piece(Ball(HALF, grid), f.breakpoints, f.breakpoints) is None
 
 
 # ---------------------------------------------------------------- codings
@@ -101,6 +159,52 @@ def test_exact_coding_blows_up_visibly():
 def test_ball_coding_continues_past_blowup():
     w = pc_coding(slow_denominators(), 0, 200, approximate=True)
     assert w.to_text() == "1" * 200
+
+
+@st.composite
+def half_slope_maps(draw):
+    """Random injective rational maps with slopes +-1/2 and a start point."""
+    n = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([12, 30, 35, 64]))
+    cuts = draw(st.lists(st.integers(1, den - 1), min_size=n - 1, max_size=n - 1,
+                         unique=True))
+    bps = [Fraction(0)] + sorted(Fraction(c, den) for c in cuts) + [Fraction(1)]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    # free space (total 1/2) split into n + 1 gaps; the last gap and every
+    # gap above a reversed image (closed at its top) must be nonempty
+    weights = draw(st.lists(st.integers(0, 6), min_size=n + 1, max_size=n + 1))
+    weights[-1] += 1
+    for j, i in enumerate(order[:-1]):
+        weights[j + 1] += signs[i] == -1
+    gaps = [Fraction(w, 2 * sum(weights)) for w in weights]
+    lo, start = gaps[0], {}
+    for j, i in enumerate(order):
+        start[i] = lo
+        lo += (bps[i + 1] - bps[i]) / 2 + gaps[j + 1]
+    intercepts = [
+        start[i] - bps[i] / 2 if signs[i] == 1 else start[i] + bps[i + 1] / 2
+        for i in range(n)
+    ]
+    f = new_pc(bps, [Fraction(s, 2) for s in signs], intercepts)
+    x = Fraction(draw(st.integers(0, 104)), 105)
+    return f, x
+
+
+@settings(max_examples=80, deadline=None)
+@given(half_slope_maps(), st.sampled_from([8, 16, 40, 192]))
+def test_ball_coding_agrees_with_exact_on_decided_letters(case, precision_bits):
+    f, x = case
+    exact = pc_coding(f, x, 60).symbols
+    try:
+        decided = len(pc_coding(f, x, 60, approximate=True,
+                                precision_bits=precision_bits))
+    except CodingUndecidable as exc:
+        decided = exc.step
+    if decided:
+        ball = pc_coding(f, x, decided, approximate=True,
+                         precision_bits=precision_bits)
+        assert ball.symbols == exact[:decided]
 
 
 def test_ball_coding_raises_when_undecidable():
