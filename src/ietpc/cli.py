@@ -3,7 +3,8 @@
 Every subcommand funnels through dispatch(RunConfig), which is plain Python
 (no terminal dependency) so the whole surface is unit-testable.  Output is
 deterministic: canonical JSON (sorted keys) or CSV, exact scalars as text.
-Exit codes: 0 success, 1 validation error, 2 inconclusive result.
+Exit codes: 0 success, 1 validation error, 2 inconclusive result.  The click
+commands live in cli_click, which loads only when cli.main is first used.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import sys
 from typing import Optional
-
-import click
 
 from . import construct as construct_mod
 from . import iet as iet_mod
@@ -315,122 +313,17 @@ def _cmd_factor(config: RunConfig) -> tuple[int, str]:
     return 0, canonical_json(payload)
 
 
-# ----------------------------------------------------------------- click UI
+def __getattr__(name: str):
+    # The click front end loads on first use of cli.main, so library users
+    # of dispatch never import click.
+    if name == "main":
+        from .cli_click import main
 
-
-def _finish(result: DispatchResult) -> None:
-    if result.out:
-        click.echo(result.out, nl=False)
-    if result.err:
-        click.echo(result.err, nl=False, err=True)
-    sys.exit(result.exit_code)
-
-
-_map_opt = click.option("--map", "map_path", required=True, type=str,
-                        help="Path to an iet/pc JSON map file.")
-_x_opt = click.option("--x", "x", required=True, type=str,
-                      help="Exact scalar, e.g. 1/3 or (3-1*sqrt(5))/2.")
-_fmt_opt = click.option("--format", "fmt", type=click.Choice(sorted(_FORMATS)),
-                        default=None, help="Output format.")
-_out_opt = click.option("--out", "out_path", type=str, default=None,
-                        help="Write output to this file (atomic).")
-_force_opt = click.option("--force", is_flag=True,
-                          help="Overwrite existing output files.")
-
-
-@click.group()
-def main() -> None:
-    """Exact codings, complexity tables, and contraction constructions."""
-
-
-@main.command("code")
-@_map_opt
-@_x_opt
-@click.option("--len", "length", required=True, type=int)
-@_fmt_opt
-@_out_opt
-@_force_opt
-def _click_code(**kw) -> None:
-    _finish(dispatch(RunConfig(command="code", **kw)))
-
-
-@main.command("complexity")
-@_map_opt
-@_x_opt
-@click.option("--len", "length", type=int, default=None)
-@click.option("--kmax", "k_max", required=True, type=int)
-@click.option("--refinement", is_flag=True,
-              help="Partition-refinement table (iet maps only).")
-@_fmt_opt
-@_out_opt
-@_force_opt
-def _click_complexity(**kw) -> None:
-    _finish(dispatch(RunConfig(command="complexity", **kw)))
-
-
-@main.command("idoc")
-@_map_opt
-@click.option("--depth", type=int, default=100)
-@_out_opt
-@_force_opt
-def _click_idoc(**kw) -> None:
-    _finish(dispatch(RunConfig(command="idoc", **kw)))
-
-
-@main.command("construct")
-@_map_opt
-@click.option("--N", "depth", type=int, default=64,
-              help="Truncation depth of the gap system.")
-@click.option("--seed", type=str, default=None,
-              help="Orbit seed (image of a partition endpoint).")
-@click.option("--sidecar", "sidecar_path", type=str, default=None,
-              help="Where to write the enclosure/provenance sidecar.")
-@_out_opt
-@_force_opt
-def _click_construct(**kw) -> None:
-    _finish(dispatch(RunConfig(command="construct", **kw)))
-
-
-@main.command("verify")
-@_map_opt
-@click.option("--N", "depth", type=int, default=64)
-@click.option("--seed", type=str, default=None)
-@click.option("--len", "length", required=True, type=int)
-@click.option("--samples", required=True, type=int)
-@_out_opt
-@_force_opt
-def _click_verify(**kw) -> None:
-    _finish(dispatch(RunConfig(command="verify", **kw)))
-
-
-@main.command("rabbit")
-@click.option("--bits", "precision_bits", type=int, default=60)
-@_out_opt
-@_force_opt
-def _click_rabbit(**kw) -> None:
-    _finish(dispatch(RunConfig(command="rabbit", **kw)))
-
-
-@main.command("certify")
-@_map_opt
-@_x_opt
-@click.option("--budget", type=int, default=4096,
-              help="Float-orbit length used to hunt for candidates.")
-@_out_opt
-@_force_opt
-def _click_certify(**kw) -> None:
-    _finish(dispatch(RunConfig(command="certify", **kw)))
-
-
-@main.command("factor")
-@_map_opt
-@_x_opt
-@click.option("--m", type=int, default=20000, help="Orbit length.")
-@_out_opt
-@_force_opt
-def _click_factor(**kw) -> None:
-    _finish(dispatch(RunConfig(command="factor", **kw)))
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":
+    from .cli_click import main
+
     main()

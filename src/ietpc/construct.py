@@ -384,7 +384,9 @@ def build_pc_from_iet(
 # --------------------------------------------- certification vs enclosures
 
 
-def robust_certificate(cpc: ConstructedPc, cert) -> bool:
+def robust_certificate(
+    cpc: ConstructedPc, cert, _cycles: Optional[dict] = None
+) -> bool:
     """Does the certificate hold for EVERY map inside the enclosures?
 
     The representative contraction is one member of a family: any map whose
@@ -392,67 +394,116 @@ def robust_certificate(cpc: ConstructedPc, cert) -> bool:
     contraction is another member).  A certificate proved for the exact
     representative may be an artifact of truncation: near a rotation the
     representative genuinely locks onto a periodic attractor whose margins
-    are far below the enclosure radii.  This check redoes the three
-    certificate computations with interval arithmetic quantified over the
-    whole family:
+    are far below the enclosure radii.  This check redoes the certificate
+    computations with interval arithmetic quantified over the whole family,
+    in two halves.  The word half depends on the period word alone:
 
       * an inner cylinder contained in the true itinerary cylinder of the
         period word, whatever the true parameters are;
-      * the orbit of the start point, inflated by parameter uncertainty,
-        must enter that inner cylinder after the preperiod;
       * the cycle must map the inner cylinder into itself as a point set
         even after inflating images by the intercept uncertainty (endpoint
         flags carry the half-open bookkeeping, matching the exact checker).
 
-    All endpoints stay exact (ExactNumber), so True is a proof that the true
-    contraction's coding of cert.start is ultimately periodic with the
-    certified word.
+    The start-orbit half then runs the orbit of the start point, inflated by
+    parameter uncertainty, through the preperiod; it must land inside the
+    inner cylinder.
+
+    _cycles, when given, memoises the word half by period word; it must
+    only ever see one carrier (certify_periodic passes a fresh dict per
+    search).  All endpoints stay exact (ExactNumber), so True is a proof
+    that the true contraction's coding of cert.start is ultimately periodic
+    with the certified word.
     """
-    f = cpc.pc
-    n = f.n
-    zero = ExactNumber(0)
-    bp_lo = [ExactNumber(b.lo) for b in cpc.breakpoint_balls]
-    bp_hi = [ExactNumber(b.hi) for b in cpc.breakpoint_balls]
-    ic_lo = [ExactNumber(b.lo) for b in cpc.intercept_balls]
-    ic_hi = [ExactNumber(b.hi) for b in cpc.intercept_balls]
-    slopes = list(f.slopes)
-
-    def inner_piece(i: int) -> tuple[ExactNumber, ExactNumber]:
-        # [worst-case left endpoint, worst-case right endpoint) of piece i
-        return bp_hi[i - 1], bp_lo[i]
-
     word = tuple(cert.period)
-    if len(word) != cert.p or any(not 1 <= w <= n for w in word):
+    if len(word) != cert.p or any(not 1 <= w <= cpc.pc.n for w in word):
+        return False
+    cycles = {} if _cycles is None else _cycles
+    if word not in cycles:
+        cycles[word] = _robust_cycle(_Family.of(cpc), word)
+    cylinder = cycles[word]
+    if cylinder is None:
         return False
 
-    # Endpoint flags (True = open) ride along with every interval below.
-    # They matter: a hull whose supremum is never attained may share that
-    # supremum with a half-open piece and still be contained in it, and the
-    # exact cylinders produced by the backward recursion bind against some
-    # piece boundary almost always.
-
-    def encloses(alo, alo_open, ahi, ahi_open, blo, blo_open, bhi, bhi_open):
-        """Is [b] a subset of [a], endpoint flags respected?"""
-        if blo < alo or (blo == alo and alo_open and not blo_open):
+    family = _Family.of(cpc)
+    y = as_exact(cert.start)
+    hull = (y, False, y, False)
+    for letter in cert.preperiod:
+        hull = family.step(hull, letter)
+        if hull is None:
             return False
-        if bhi > ahi or (bhi == ahi and ahi_open and not bhi_open):
-            return False
-        return True
+    return _encloses(cylinder, hull)
 
-    # inner cylinder: every point is in the true cylinder of `word` for all
-    # parameter choices; built backwards through for-all preimages
-    lo, hi = inner_piece(word[-1])
-    lo_open, hi_open = False, True
+
+# Intervals of the family-robust check are (lo, lo_open, hi, hi_open) with
+# exact endpoints.  The open flags matter: a hull whose supremum is never
+# attained may share that supremum with a half-open piece and still be
+# contained in it, and the exact cylinders produced by the backward
+# recursion bind against some piece boundary almost always.
+
+
+def _encloses(a: tuple, b: tuple) -> bool:
+    """Is interval b a subset of interval a, endpoint flags respected?"""
+    alo, alo_open, ahi, ahi_open = a
+    blo, blo_open, bhi, bhi_open = b
+    if blo < alo or (blo == alo and alo_open and not blo_open):
+        return False
+    if bhi > ahi or (bhi == ahi and ahi_open and not bhi_open):
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Worst-case parameters of every map inside a carrier's enclosures."""
+
+    slopes: tuple[ExactNumber, ...]
+    bp_lo: tuple[ExactNumber, ...]
+    bp_hi: tuple[ExactNumber, ...]
+    ic_lo: tuple[ExactNumber, ...]
+    ic_hi: tuple[ExactNumber, ...]
+
+    @classmethod
+    def of(cls, cpc) -> "_Family":
+        return cls(
+            cpc.pc.slopes,
+            tuple(ExactNumber(b.lo) for b in cpc.breakpoint_balls),
+            tuple(ExactNumber(b.hi) for b in cpc.breakpoint_balls),
+            tuple(ExactNumber(b.lo) for b in cpc.intercept_balls),
+            tuple(ExactNumber(b.hi) for b in cpc.intercept_balls),
+        )
+
+    def inner_piece(self, i: int) -> tuple:
+        """[worst-case left endpoint, worst-case right endpoint) of piece i."""
+        return self.bp_hi[i - 1], False, self.bp_lo[i], True
+
+    def step(self, y: tuple, letter: int) -> Optional[tuple]:
+        """Hull of y's images under piece `letter` of every family member,
+        or None when y may leave that piece."""
+        if not _encloses(self.inner_piece(letter), y):
+            return None
+        ylo, ylo_open, yhi, yhi_open = y
+        s = self.slopes[letter - 1]
+        blo, bhi = self.ic_lo[letter - 1], self.ic_hi[letter - 1]
+        if s > 0:
+            return s * ylo + blo, ylo_open, s * yhi + bhi, yhi_open
+        return s * yhi + blo, yhi_open, s * ylo + bhi, ylo_open
+
+
+def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
+    """The word half of robust_certificate: the for-all inner cylinder of
+    word when the worst-case cycle hull lands back inside it, else None."""
+    # built backwards through for-all preimages
+    lo, lo_open, hi, hi_open = family.inner_piece(word[-1])
     for letter in reversed(word[:-1]):
-        s = slopes[letter - 1]
-        blo, bhi = ic_lo[letter - 1], ic_hi[letter - 1]
-        if s > zero:
+        s = family.slopes[letter - 1]
+        blo, bhi = family.ic_lo[letter - 1], family.ic_hi[letter - 1]
+        if s > 0:
             pre_lo, pre_lo_open = (lo - blo) / s, lo_open
             pre_hi, pre_hi_open = (hi - bhi) / s, hi_open
         else:
             pre_lo, pre_lo_open = (hi - bhi) / s, hi_open
             pre_hi, pre_hi_open = (lo - blo) / s, lo_open
-        plo, phi = inner_piece(letter)
+        plo, _, phi, _ = family.inner_piece(letter)
         if pre_lo > plo or (pre_lo == plo and pre_lo_open):
             lo, lo_open = pre_lo, pre_lo_open
         else:
@@ -462,40 +513,15 @@ def robust_certificate(cpc: ConstructedPc, cert) -> bool:
         else:
             hi, hi_open = phi, True
         if lo > hi or (lo == hi and (lo_open or hi_open)):
-            return False
-    C_lo, C_lo_open, C_hi, C_hi_open = lo, lo_open, hi, hi_open
-
-    def step(ylo, ylo_open, yhi, yhi_open, letter):
-        plo, phi = inner_piece(letter)
-        if not encloses(plo, False, phi, True, ylo, ylo_open, yhi, yhi_open):
             return None
-        s = slopes[letter - 1]
-        blo, bhi = ic_lo[letter - 1], ic_hi[letter - 1]
-        if s > zero:
-            return s * ylo + blo, ylo_open, s * yhi + bhi, yhi_open
-        return s * yhi + blo, yhi_open, s * ylo + bhi, ylo_open
+    cylinder = (lo, lo_open, hi, hi_open)
 
-    # preperiod: the start orbit, inflated, must land inside the cylinder
-    y = as_exact(cert.start)
-    y_lo, y_lo_open, y_hi, y_hi_open = y, False, y, False
-    for letter in cert.preperiod:
-        out = step(y_lo, y_lo_open, y_hi, y_hi_open, letter)
-        if out is None:
-            return False
-        y_lo, y_lo_open, y_hi, y_hi_open = out
-    if not encloses(C_lo, C_lo_open, C_hi, C_hi_open,
-                    y_lo, y_lo_open, y_hi, y_hi_open):
-        return False
-
-    # cycle: worst-case image hull of the cylinder, back inside the cylinder
-    h_lo, h_lo_open, h_hi, h_hi_open = C_lo, C_lo_open, C_hi, C_hi_open
+    hull = cylinder
     for letter in word:
-        out = step(h_lo, h_lo_open, h_hi, h_hi_open, letter)
-        if out is None:
-            return False
-        h_lo, h_lo_open, h_hi, h_hi_open = out
-    return encloses(C_lo, C_lo_open, C_hi, C_hi_open,
-                    h_lo, h_lo_open, h_hi, h_hi_open)
+        hull = family.step(hull, letter)
+        if hull is None:
+            return None
+    return cylinder if _encloses(cylinder, hull) else None
 
 
 # ------------------------------------------------- rotation specialization

@@ -246,6 +246,18 @@ def _compose_cycle(f: PiecewiseContraction, word: Sequence[int]):
     return C, s * a, s * c + b
 
 
+def _self_mapping_cycle(f: PiecewiseContraction, word: tuple[int, ...]):
+    """(C, a, c, fixed) for the word's cylinder C and cycle x -> a*x + c
+    when the cycle maps C into itself, else None; fixed is the cycle's
+    fixed point, or None when it lies outside C."""
+    built = _compose_cycle(f, word)
+    if built is None or not _cycle_contracts(*built):
+        return None
+    C, a, c = built
+    fixed = c / (ExactNumber(1) - a)
+    return C, a, c, (fixed if C.contains(fixed) else None)
+
+
 def _cycle_contracts(C: Interval, a: ExactNumber, c: ExactNumber) -> bool:
     """True when the cycle maps the cylinder into itself as a point set.
 
@@ -397,10 +409,11 @@ def certify_periodic(
     """Certify that the coding of x is ultimately periodic, or return None.
 
     Detection runs in floating point over the first `budget` orbit steps;
-    every accepted certificate is verified in exact arithmetic (cylinder
-    mapped strictly inside itself, orbit entry into the cylinder), so a
-    wrong float hint can only cost time.  None means inconclusive, never
-    a proof of aperiodicity.
+    every accepted certificate is verified in exact arithmetic (the cycle
+    maps the cylinder into itself as a point set, containment need not be
+    strict where endpoint flags allow it; the orbit enters the cylinder;
+    the cycle's fixed point lies in it), so a wrong float hint can only
+    cost time.  None means inconclusive, never a proof of aperiodicity.
 
     f may also be a constructed contraction carrying parameter enclosures
     (see construct.build_pc_from_iet).  Certificates are then additionally
@@ -414,9 +427,10 @@ def certify_periodic(
         return _certify_exact(f, x, budget, bit_budget)
     from .construct import robust_certificate
 
+    cycles: dict = {}  # robust_certificate's word-half memo for this search
     return _certify_exact(
         rep, x, budget, bit_budget,
-        _accept=lambda cert: robust_certificate(f, cert),
+        _accept=lambda cert: robust_certificate(f, cert, _cycles=cycles),
     )
 
 
@@ -446,6 +460,12 @@ def _certify_exact(
             orbit.append(point)
         return orbit[m]
 
+    # Per-search memo, period word -> (C, a, c, fixed point or None when it
+    # lies outside C) for a nonempty self-mapping cylinder, else None.  The
+    # m loop below meets each rotation of a period word up to three times,
+    # and overlapping candidates meet the same rotations again.
+    cycles: dict[tuple[int, ...], Optional[tuple]] = {}
+
     for q_hint, p in candidates:
         if q_hint + 2 * p + 1 > budget:
             continue
@@ -453,24 +473,19 @@ def _certify_exact(
         for m in range(max(0, q_hint - p), q_hint + 2 * p + 1):
             shift = (m - q_hint) % p
             word = base[shift:] + base[:shift]
-            built = _compose_cycle(f, word)
-            if built is None:
+            if word not in cycles:
+                cycles[word] = _self_mapping_cycle(f, word)
+            cycle = cycles[word]
+            if cycle is None:
                 continue
-            C, a, c = built
-            if not _cycle_contracts(C, a, c):
-                continue
-            y = orbit_point(m)
-            if not C.contains(y):
-                continue
-            pre = tuple(letters[:m])
-            fixed = c / (ExactNumber(1) - a)
-            if not C.contains(fixed):
+            C, a, c, fixed = cycle
+            if not C.contains(orbit_point(m)) or fixed is None:
                 continue
             cert = PeriodicCertificate(
                 start=x0,
                 q=m,
                 p=p,
-                preperiod=pre,
+                preperiod=tuple(letters[:m]),
                 period=word,
                 cylinder=C,
                 cycle_slope=a,
@@ -490,10 +505,10 @@ def check_certificate(f: PiecewiseContraction, cert: PeriodicCertificate) -> boo
         return False
     if any(not 1 <= w <= f.n for w in cert.period + cert.preperiod):
         return False
-    built = _compose_cycle(f, cert.period)
-    if built is None:
+    cycle = _self_mapping_cycle(f, cert.period)
+    if cycle is None:
         return False
-    C, a, c = built
+    C, a, c, fixed = cycle
     if (C.lo, C.hi, C.lo_closed, C.hi_closed) != (
         cert.cylinder.lo,
         cert.cylinder.hi,
@@ -503,11 +518,7 @@ def check_certificate(f: PiecewiseContraction, cert: PeriodicCertificate) -> boo
         return False
     if a != cert.cycle_slope or c != cert.cycle_intercept:
         return False
-    if not _cycle_contracts(C, a, c):
-        return False
-    if cert.fixed_point != c / (ExactNumber(1) - a):
-        return False
-    if not C.contains(cert.fixed_point):
+    if fixed is None or cert.fixed_point != fixed:
         return False
     point = cert.start
     for m in range(cert.q):

@@ -5,11 +5,15 @@ a terminal.  Exit codes: 0 success, 1 validation error, 2 inconclusive.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import ietpc
 from ietpc import golden_rotation, load_map, new_pc, rotation_iet
 from ietpc.cli import DispatchResult, RunConfig, dispatch, main
 from ietpc.mapio import canonical_json
@@ -286,3 +290,28 @@ def test_click_help_lists_subcommands():
     for name in ("code", "complexity", "construct", "verify", "rabbit",
                  "certify", "factor", "idoc"):
         assert name in result.output
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this ietpc package."""
+    src = os.path.dirname(os.path.dirname(ietpc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_importing_cli_leaves_click_unloaded():
+    """dispatch is plain Python; only first use of cli.main loads click."""
+    probe = ("import sys, ietpc.cli; assert 'click' not in sys.modules; "
+             "ietpc.cli.main; assert 'click' in sys.modules")
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+
+
+def test_module_entry_point(maps):
+    result = _python("-m", "ietpc.cli", "code", "--map", maps["golden.json"],
+                     "--x", GOLDEN_X, "--len", "13")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1211212112112\n"

@@ -12,6 +12,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ietpc import (
     Ball,
@@ -35,8 +37,12 @@ from ietpc import (
     valid_seeds,
     verify_semiconjugacy,
 )
+from ietpc import construct, pc
+from ietpc.errors import DenominatorBlowup
 from ietpc.mapio import canonical_json
-from ietpc.numeric import ExactNumber
+from ietpc.numeric import ExactNumber, as_exact, to_ball
+from ietpc.pc import PeriodicCertificate
+from strategies import half_slope_maps
 
 ALPHA = ExactNumber(Fraction(3, 2), Fraction(-1, 2), 5)
 RABBIT_19_DIGITS = Fraction("0.7098034428612913146")
@@ -270,15 +276,18 @@ def test_verify_argument_validation(cpc64, golden):
 
 
 def _wrap(pc, bp_radius=Fraction(0), ic_radius=Fraction(0)):
-    """A minimal enclosure carrier around an exact contraction."""
+    """A minimal enclosure carrier around an exact contraction: 64-bit
+    dyadic balls around its parameters (exact for dyadic ones), widened by
+    the given radii."""
+
+    def ball(v, radius):
+        b = to_ball(v, 64)
+        return Ball(b.center, b.radius + radius)
+
     return types.SimpleNamespace(
         pc=pc,
-        breakpoint_balls=tuple(
-            Ball(b.to_fraction(), bp_radius) for b in pc.breakpoints
-        ),
-        intercept_balls=tuple(
-            Ball(c.to_fraction(), ic_radius) for c in pc.intercepts
-        ),
+        breakpoint_balls=tuple(ball(b, bp_radius) for b in pc.breakpoints),
+        intercept_balls=tuple(ball(c, ic_radius) for c in pc.intercepts),
     )
 
 
@@ -324,6 +333,28 @@ def test_representative_lock_in_is_not_family_robust(cpc64):
     assert certify_periodic(cpc64, Fraction(1, 3)) is None
 
 
+def test_certify_does_word_work_once_per_period_word(cpc64, monkeypatch):
+    """The refused golden search meets 68 distinct period words (474 times
+    over, across m and overlapping candidates); the cylinder composition and
+    the family-robust word half each run once per distinct word."""
+    composed, robust = [], []
+    compose_cycle, robust_cycle = pc._compose_cycle, construct._robust_cycle
+
+    def counted_compose(f, word):
+        composed.append(tuple(word))
+        return compose_cycle(f, word)
+
+    def counted_robust(family, word):
+        robust.append(tuple(word))
+        return robust_cycle(family, word)
+
+    monkeypatch.setattr(pc, "_compose_cycle", counted_compose)
+    monkeypatch.setattr(construct, "_robust_cycle", counted_robust)
+    assert certify_periodic(cpc64, Fraction(1, 3)) is None
+    assert len(composed) == len(set(composed)) == 68
+    assert len(robust) == len(set(robust)) == 68
+
+
 def test_empirical_factor_continues_in_balls_past_the_bit_budget(cpc64):
     """A 256-bit budget runs out after 192 exact steps, so most samples come
     from the outward-rounded ball orbit; its figures are pinned."""
@@ -332,3 +363,105 @@ def test_empirical_factor_continues_in_balls_past_the_bit_budget(cpc64):
     assert fac.visit_counts == (618, 382)
     assert fac.breakpoints_hat == (0.0, 0.618, 1.0)
     assert fac.residual == 0.0010000000000000564
+
+
+# ------------------------------------------------ search memo equivalence
+
+
+def _reference_certify(f, x, budget, bit_budget, accept=None):
+    """The certificate search without memos: every m composes its rotation
+    of the period word and re-derives the cycle's verdicts afresh."""
+    x0 = as_exact(x)
+    candidates, float_letters = pc._detection_candidates(f, x0, budget)
+    orbit, letters = [x0], []
+
+    def orbit_point(m):
+        while len(orbit) <= m:
+            point = orbit[-1]
+            if point.bit_size() > bit_budget:
+                raise DenominatorBlowup(len(orbit) - 1, point.bit_size(), bit_budget)
+            i, point = f.step(point)
+            letters.append(i)
+            orbit.append(point)
+        return orbit[m]
+
+    for q_hint, p in candidates:
+        if q_hint + 2 * p + 1 > budget:
+            continue
+        base = tuple(float_letters[q_hint : q_hint + p])
+        for m in range(max(0, q_hint - p), q_hint + 2 * p + 1):
+            shift = (m - q_hint) % p
+            word = base[shift:] + base[:shift]
+            built = pc._compose_cycle(f, word)
+            if built is None:
+                continue
+            C, a, c = built
+            if not pc._cycle_contracts(C, a, c):
+                continue
+            if not C.contains(orbit_point(m)):
+                continue
+            fixed = c / (ExactNumber(1) - a)
+            if not C.contains(fixed):
+                continue
+            cert = PeriodicCertificate(x0, m, p, tuple(letters[:m]), word,
+                                       C, a, c, fixed)
+            if accept is None or accept(cert):
+                return cert
+    return None
+
+
+RADII = st.sampled_from([Fraction(0), Fraction(1, 2**60), Fraction(1, 2**24),
+                         Fraction(1, 2**12), Fraction(1, 2**6)])
+# short budgets make some searches give up, and small bit budgets make some
+# raise DenominatorBlowup, so both outcomes are compared too
+SEARCHES = st.fixed_dictionaries({"budget": st.sampled_from([5, 12, 512]),
+                                  "bit_budget": st.sampled_from([10, 4096])})
+
+
+def _search(f, x, **kw):
+    """The search's answer, or the type of error it raised."""
+    try:
+        return kw.pop("reference", certify_periodic)(f, x, **kw)
+    except DenominatorBlowup as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(half_slope_maps(min_pieces=2, max_pieces=3), SEARCHES)
+# x -> x/2 + 1/2 maps [0, 1) into itself but fixes 1, outside it: the orbit
+# is still walked first, so the 10-bit budget raises as before
+@example(case=(new_pc([0, 1], [Fraction(1, 2)], [Fraction(1, 2)]),
+               Fraction(1, 3)),
+         search={"budget": 512, "bit_budget": 10})
+def test_certify_matches_memo_free_reference(case, search):
+    f, x = case
+    assert _search(f, x, **search) == _search(
+        f, x, reference=_reference_certify, **search)
+
+
+@settings(max_examples=100, deadline=None)
+@given(half_slope_maps(min_pieces=2, max_pieces=3), SEARCHES, RADII, RADII)
+def test_certify_with_enclosures_matches_memo_free_reference(
+        case, search, bp_r, ic_r):
+    f, x = case
+    carrier = _wrap(f, bp_r, ic_r)
+    expected = _search(
+        f, x, reference=_reference_certify,
+        accept=lambda cert: robust_certificate(carrier, cert), **search)
+    assert _search(carrier, x, **search) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_slope_maps(min_pieces=2, max_pieces=3), SEARCHES, RADII, RADII)
+def test_robust_verdict_does_not_depend_on_the_memo(case, search, bp_r, ic_r):
+    f, x = case
+    certs = []  # every certificate the exact search produces, repeats kept
+    try:
+        pc._certify_exact(f, x, _accept=certs.append, **search)
+    except DenominatorBlowup:
+        pass
+    carrier = _wrap(f, bp_r, ic_r)
+    memo: dict = {}
+    for cert in certs + certs:
+        assert robust_certificate(carrier, cert, _cycles=memo) == (
+            robust_certificate(carrier, cert))
