@@ -1,17 +1,20 @@
-"""Command line front end.
+"""Command line: one option table, an argparse front end, and dispatch.
 
 Every subcommand funnels through dispatch(RunConfig), which is plain Python
 (no terminal dependency) so the whole surface is unit-testable.  Output is
 deterministic: canonical JSON (sorted keys) or CSV, exact scalars as text.
-Exit codes: 0 success, 1 validation error, 2 inconclusive result.  The click
-commands live in cli_click, which loads only when cli.main is first used.
+Exit codes: 0 success, 1 invalid input (malformed options included),
+2 inconclusive result.  Defaults and required options live in the
+handlers alone, because library callers reach only dispatch.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
+import sys
 from typing import Optional
 
 from . import construct as construct_mod
@@ -24,17 +27,29 @@ from .mapio import atomic_write_text, canonical_json, load_map
 from .numeric import Ball, ExactNumber, format_scalar, parse_scalar
 from .pc import PiecewiseContraction
 
-_COMMANDS = {
-    "code",
-    "complexity",
-    "idoc",
-    "construct",
-    "verify",
-    "rabbit",
-    "certify",
-    "factor",
-}
 _FORMATS = {"json", "csv", "plain"}
+
+
+# One entry per flag: the RunConfig field it sets, its kind and its help.
+# Kinds: "int" (positive), "path" (nonempty), "str", "flag".
+_OPTIONS = {
+    "--map": ("map_path", "path", "Path to an iet/pc JSON map file."),
+    "--x": ("x", "str", "Exact scalar, e.g. 1/3 or (3-1*sqrt(5))/2."),
+    "--len": ("length", "int", "Coding length."),
+    "--kmax": ("k_max", "int", "Largest factor length."),
+    "--refinement": ("refinement", "flag", "Refinement table (iet maps only)."),
+    "--depth": ("depth", "int", "Depth of the idoc check."),
+    "--N": ("depth", "int", "Truncation depth of the gap system."),
+    "--seed": ("seed", "str", "Orbit seed (image of a partition endpoint)."),
+    "--samples": ("samples", "int", "Number of gap midpoints to code."),
+    "--sidecar": ("sidecar_path", "path", "Where to write the sidecar."),
+    "--bits": ("precision_bits", "int", "Precision of the enclosures."),
+    "--budget": ("budget", "int", "Float-orbit length hunted for candidates."),
+    "--m": ("m", "int", "Orbit length."),
+    "--format": ("fmt", "str", f"Output format: {', '.join(sorted(_FORMATS))}."),
+    "--out": ("out_path", "path", "Write output to this file (atomic)."),
+    "--force": ("force", "flag", "Overwrite existing output files."),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,14 +76,11 @@ class RunConfig:
             raise ValueError(f"unknown subcommand {self.command!r}")
         if self.fmt is not None and self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {sorted(_FORMATS)}")
-        for name in ("length", "k_max", "depth", "m", "precision_bits",
-                     "budget", "samples"):
+        for name, kind, _ in _OPTIONS.values():
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is not None and kind == "int" and value < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("map_path", "out_path", "sidecar_path"):
-            value = getattr(self, name)
-            if value is not None and not value:
+            if value is not None and kind == "path" and not value:
                 raise ValueError(f"{name} must be nonempty")
 
     @classmethod
@@ -151,17 +163,7 @@ def dispatch(config: RunConfig) -> DispatchResult:
 
 
 def _run(config: RunConfig) -> tuple[int, str]:
-    handler = {
-        "code": _cmd_code,
-        "complexity": _cmd_complexity,
-        "idoc": _cmd_idoc,
-        "construct": _cmd_construct,
-        "verify": _cmd_verify,
-        "rabbit": _cmd_rabbit,
-        "certify": _cmd_certify,
-        "factor": _cmd_factor,
-    }[config.command]
-    code, text = handler(config)
+    code, text = _COMMANDS[config.command][0](config)
     if config.out_path is not None:
         _write_out(config, config.out_path, text)
     return code, text
@@ -313,17 +315,57 @@ def _cmd_factor(config: RunConfig) -> tuple[int, str]:
     return 0, canonical_json(payload)
 
 
-def __getattr__(name: str):
-    # The click front end loads on first use of cli.main, so library users
-    # of dispatch never import click.
-    if name == "main":
-        from .cli_click import main
+# ------------------------------------------------------------ front end
 
-        return main
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+# One entry per subcommand: its handler and its flags; every subcommand
+# also takes --out and --force.
+_COMMANDS = {
+    "code": (_cmd_code, ("--map", "--x", "--len", "--format")),
+    "complexity": (_cmd_complexity,
+                   ("--map", "--x", "--len", "--kmax", "--refinement", "--format")),
+    "idoc": (_cmd_idoc, ("--map", "--depth")),
+    "construct": (_cmd_construct, ("--map", "--N", "--seed", "--sidecar")),
+    "verify": (_cmd_verify, ("--map", "--N", "--seed", "--len", "--samples")),
+    "rabbit": (_cmd_rabbit, ("--bits",)),
+    "certify": (_cmd_certify, ("--map", "--x", "--budget")),
+    "factor": (_cmd_factor, ("--map", "--x", "--m")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise ValueError(message)  # main reports it like dispatch: exit 1
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="ietpc", allow_abbrev=False, description=(
+        "Exact codings, complexity tables, and contraction constructions."))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in (*flags, "--out", "--force"):
+            field, kind, text = _OPTIONS[flag]
+            if kind == "flag":
+                p.add_argument(flag, dest=field, action="store_true", help=text)
+            else:
+                p.add_argument(flag, dest=field, help=text,
+                               type=int if kind == "int" else None)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> None:
+    """Parse argv, dispatch, write out/err and exit with the result's code."""
+    try:
+        config = RunConfig(**vars(_parser().parse_args(argv)))
+    except ValueError as exc:
+        result = DispatchResult(1, "", _error_line(exc))
+    else:
+        result = dispatch(config)
+    sys.stdout.write(result.out)
+    sys.stderr.write(result.err)
+    sys.exit(result.exit_code)
 
 
 if __name__ == "__main__":
-    from .cli_click import main
-
     main()

@@ -627,9 +627,10 @@ def verify_semiconjugacy(
 
     For each gap index k <= samples the contraction's coding of the midpoint
     of G_k must reproduce the exact IET coding of the orbit point p_k letter
-    for letter.  The contraction side is run as a ball orbit: centers follow
-    the exact dyadic representative, radii carry the distance to the true
-    map, so any decided letter is certified.
+    for letter; T is the exchange cpc was built from.  The contraction side
+    is run as a ball orbit: centers follow the exact dyadic representative,
+    radii carry the distance to the true map, so any decided letter is
+    certified.
     """
     if L < 1 or samples < 1:
         raise ValueError("L and samples must be >= 1")
@@ -644,8 +645,10 @@ def verify_semiconjugacy(
     agree = disagree = undecided = 0
     first_disagreement = None
     relabeling_ok = True
+    # p_k = T^(k-1)(seed), so its coding is letters [k-1, k-1+L) of the seed's
+    seed_letters = iet_coding(T, gs.seed, samples + L - 1).symbols
     for k in range(1, samples + 1):
-        t_word = iet_coding(T, gs.orbit[k - 1], L)
+        t_word = SymbolicWord(seed_letters[k - 1:k - 1 + L], n)
         ball = gs.gap_mid_ball(k)
         f_letters: list[int] = []
         for j in range(L):

@@ -522,7 +522,10 @@ def check_certificate(f: PiecewiseContraction, cert: PeriodicCertificate) -> boo
         return False
     point = cert.start
     for m in range(cert.q):
-        i, point = f.step(point)
+        try:
+            i, point = f.step(point)
+        except OutOfDomain:
+            return False
         if i != cert.preperiod[m]:
             return False
     return C.contains(point)

@@ -1,7 +1,7 @@
-"""Command line surface: dispatch-level behavior and the click wiring.
+"""Command line surface: dispatch-level behavior and the argparse front end.
 
 Everything routes through dispatch(RunConfig), so most tests avoid spawning
-a terminal.  Exit codes: 0 success, 1 validation error, 2 inconclusive.
+a terminal.  Exit codes: 0 success, 1 invalid input, 2 inconclusive.
 """
 
 import json
@@ -11,7 +11,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 import ietpc
 from ietpc import golden_rotation, load_map, new_pc, rotation_iet
@@ -262,34 +261,103 @@ def test_factor_refuses_periodic(maps):
     assert json.loads(res.err)["error"] == "PeriodicOrbit"
 
 
-# ------------------------------------------------------------ click layer
+# -------------------------------------------------------------- front end
 
 
-def test_click_code_command(maps):
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
+def call_main(argv, capsys) -> DispatchResult:
+    """Run main(argv) and return its exit code, stdout and stderr."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    return DispatchResult(stop.value.code, captured.out, captured.err)
+
+
+def test_main_code_command(maps, capsys):
+    result = call_main(
         ["code", "--map", maps["golden.json"], "--x", GOLDEN_X, "--len", "13"],
+        capsys,
     )
     assert result.exit_code == 0
-    assert result.output == "1211212112112\n"
+    assert result.out == "1211212112112\n"
 
 
-def test_click_error_exit_code(maps):
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["code", "--map", maps["golden.json"], "--x", "1/0", "--len", "5"]
+def test_main_error_exit_code(maps, capsys):
+    result = call_main(
+        ["code", "--map", maps["golden.json"], "--x", "1/0", "--len", "5"], capsys
     )
     assert result.exit_code == 1
 
 
-def test_click_help_lists_subcommands():
-    runner = CliRunner()
-    result = runner.invoke(main, ["--help"])
+def test_main_help_lists_subcommands(capsys):
+    result = call_main(["--help"], capsys)
     assert result.exit_code == 0
     for name in ("code", "complexity", "construct", "verify", "rabbit",
                  "certify", "factor", "idoc"):
-        assert name in result.output
+        assert name in result.out
+
+
+# argv flags after --map, and the RunConfig fields they must give
+SUBCOMMANDS = [
+    ("code", "golden.json", ["--x", GOLDEN_X, "--len", "13"],
+     dict(x=GOLDEN_X, length=13)),
+    ("code", "third.json", ["--x", "0/1", "--len", "6", "--format", "json"],
+     dict(x="0/1", length=6, fmt="json")),
+    ("complexity", "golden.json", ["--x", GOLDEN_X, "--len", "200", "--kmax", "8"],
+     dict(x=GOLDEN_X, length=200, k_max=8)),
+    ("complexity", "golden.json",
+     ["--x", "1/3", "--kmax", "6", "--refinement", "--format", "json"],
+     dict(x="1/3", k_max=6, refinement=True, fmt="json")),
+    ("idoc", "golden.json", [], {}),
+    ("idoc", "third.json", ["--depth", "50"], dict(depth=50)),
+    ("construct", "golden.json", ["--N", "32"], dict(depth=32)),
+    ("verify", "golden.json", ["--len", "32", "--samples", "10"],
+     dict(length=32, samples=10)),
+    ("rabbit", None, ["--bits", "80"], dict(precision_bits=80)),
+    ("certify", "twopiece.json", ["--x", "0/1"], dict(x="0/1")),
+    ("certify", "wanderer.json", ["--x", "0/1", "--budget", "50"],
+     dict(x="0/1", budget=50)),
+    ("factor", "wanderer.json", ["--x", "0/1", "--m", "1000"],
+     dict(x="0/1", m=1000)),
+]
+
+
+@pytest.mark.parametrize("command,map_name,flags,fields", SUBCOMMANDS)
+def test_main_matches_dispatch(maps, capsys, command, map_name, flags, fields):
+    """main only parses: its output is dispatch's on the same RunConfig."""
+    argv = [command]
+    if map_name is not None:
+        argv += ["--map", maps[map_name]]
+        fields = dict(fields, map_path=maps[map_name])
+    expected = dispatch(RunConfig(command=command, **fields))
+    assert call_main(argv + flags, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explode"],  # unknown subcommand
+        [],  # no subcommand
+        ["code", "--map", "{golden}", "--x", "0", "--len", "5", "--bogus"],
+        ["code", "--ma", "{golden}", "--x", "0", "--len", "5"],  # no abbreviations
+        ["code", "--map", "{golden}", "--x", "0", "--len", "five"],
+        ["code", "--map", "{golden}", "--x", "0", "--len"],  # value missing
+        ["code", "--map", "{golden}", "--x", "0", "--len", "5", "--format", "yaml"],
+        ["code", "--map", "{golden}", "--x", "0", "--len", "0"],  # out of range
+        ["certify", "--map", "{twopiece}", "--x", "0", "--budget", "0"],
+        ["certify", "--map", "{twopiece}"],  # missing --x
+        ["rabbit", "--bits", "0"],
+        ["code", "--map", "", "--x", "0", "--len", "5"],
+        ["code", "--map", "{golden}", "--x", "1/0", "--len", "5"],
+    ],
+)
+def test_main_input_errors_exit_1_with_json(maps, capsys, argv):
+    paths = {"golden": maps["golden.json"], "twopiece": maps["twopiece.json"]}
+    result = call_main([a.format(**paths) for a in argv], capsys)
+    assert result.exit_code == 1
+    assert result.out == ""
+    lines = result.err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "detail"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -303,9 +371,13 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_importing_cli_leaves_click_unloaded():
-    """dispatch is plain Python; only first use of cli.main loads click."""
-    probe = ("import sys, ietpc.cli; assert 'click' not in sys.modules; "
-             "ietpc.cli.main; assert 'click' in sys.modules")
+    """The front end is stdlib argparse: nothing on the CLI path loads click."""
+    probe = ("import sys, ietpc, ietpc.cli\n"
+             "try:\n"
+             "    ietpc.cli.main(['--help'])\n"
+             "except SystemExit as stop:\n"
+             "    assert stop.code == 0\n"
+             "assert 'click' not in sys.modules")
     result = _python("-c", probe)
     assert result.returncode == 0, result.stderr
 

@@ -252,6 +252,22 @@ def test_verify_semiconjugacy_clean(cpc64, golden):
     assert report.to_json_dict()["passed"] is True
 
 
+def test_verify_codes_the_exchange_once_per_report(cpc64, golden, monkeypatch):
+    """Each sample's exchange coding is a window of the seed's coding, so a
+    report makes one iet_coding call of samples + L - 1 letters."""
+    lengths = []
+    coding = construct.iet_coding
+
+    def counted_coding(T, x, length):
+        lengths.append(length)
+        return coding(T, x, length)
+
+    monkeypatch.setattr(construct, "iet_coding", counted_coding)
+    report = verify_semiconjugacy(cpc64, golden, 64, 20)
+    assert lengths == [83]
+    assert report.decided_agree == 1280 and report.passed
+
+
 def test_verify_detects_corrupted_intercepts(cpc64, golden):
     balls = list(cpc64.intercept_balls)
     balls[0] = Ball(balls[0].center + Fraction(1, 2**10), balls[0].radius)

@@ -14,6 +14,7 @@ from ietpc import (
     BadPartition,
     CodingUndecidable,
     DenominatorBlowup,
+    ExactNumber,
     ImageEscapes,
     NotContracting,
     NotInjective,
@@ -229,6 +230,11 @@ def test_check_certificate_rejects_tampering():
         cert, cylinder=Interval(Fraction(0), Fraction(1, 100))
     )
     assert not check_certificate(f, narrowed)
+    for q in (0, 1):  # a start outside [0, 1) is refused, not raised on
+        outside = dataclasses.replace(
+            cert, start=ExactNumber(2), q=q, preperiod=(1,) * q
+        )
+        assert not check_certificate(f, outside)
 
 
 def test_certificate_serialization_round_trip():
