@@ -354,10 +354,29 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write `--x -0/1` as `--x=-0/1`: a value-taking option takes the next
+    token whatever its first character, unless that token is one of the
+    subcommand's flags (argparse alone reads `-0/1` as a flag)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    command, *rest = argv
+    flags = {*_COMMANDS[command][1], "--out", "--force", "-h", "--help"}
+    takes_value = {f for f in flags & _OPTIONS.keys() if _OPTIONS[f][1] != "flag"}
+    out = [command]
+    for token in rest:
+        if out[-1] in takes_value and token.startswith("-") and token not in flags:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> None:
     """Parse argv, dispatch, write out/err and exit with the result's code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        config = RunConfig(**vars(_parser().parse_args(argv)))
+        config = RunConfig(**vars(_parser().parse_args(_attach_dash_values(argv))))
     except ValueError as exc:
         result = DispatchResult(1, "", _error_line(exc))
     else:

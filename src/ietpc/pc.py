@@ -385,9 +385,9 @@ def _detection_candidates(f: PiecewiseContraction, x: ExactNumber, detect_len: i
     out = []
     for q, p in candidates:
         for pair in ((q, p), (q, 2 * p)):
-            if pair not in out and pair[1] >= 1:
+            if pair not in out:
                 out.append(pair)
-    return sorted(out, key=lambda t: (t[0], t[1])), lets
+    return sorted(out), lets
 
 
 def _enclosed_representative(f) -> Optional[PiecewiseContraction]:

@@ -125,7 +125,7 @@ def _affine_tail(entries: list[tuple[int, int]]) -> tuple[Optional[int], Optiona
     need = (k_max + 1) // 2
     if len(entries) < 2 or need < 2:
         return None, None, None
-    tail = entries[-need:] if need >= 2 else entries[-2:]
+    tail = entries[-need:]
     (k1, p1), (k2, p2) = tail[0], tail[1]
     if (p2 - p1) % (k2 - k1) != 0:
         return None, None, None
@@ -181,46 +181,34 @@ def isomorphic(w1: SymbolicWord, w2: SymbolicWord) -> Optional[dict[int, int]]:
     return mapping
 
 
-def _smallest_period(symbols: tuple[int, ...]) -> list[int]:
-    """All periods of the string in increasing order (failure-function chain)."""
-    n = len(symbols)
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and symbols[i] != symbols[k]:
-            k = fail[k - 1]
-        if symbols[i] == symbols[k]:
-            k += 1
-        fail[i] = k
-    periods = []
-    border = fail[n - 1]
-    while True:
-        periods.append(n - border)
-        if border == 0:
-            break
-        border = fail[border - 1]
-    return periods  # increasing: smallest period first
-
-
 def detect_eventual_period(word: SymbolicWord) -> Optional[tuple[int, int]]:
     """Smallest (q, p), ordered by q then p, such that the suffix from q is
     p-periodic with at least three full repetitions inside the prefix.
 
+    One failure-function pass over the reversed word gives the smallest
+    period of every suffix: the suffix from q, reversed, is the reversed
+    word's prefix of length m = n - q, a word and its reversal have the same
+    periods, and that prefix's smallest period is m - border[m - 1].  Only the
+    smallest period can satisfy 3p <= m, so the first q that does wins.
     Returns None when no such pair exists.
     """
     n = len(word)
     if n < 8:
         raise PrefixTooShort("need at least 8 letters to call a period")
-    syms = word.symbols
-    for q in range(n):
+    rev = word.symbols[::-1]
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and rev[i] != rev[k]:
+            k = border[k - 1]
+        if rev[i] == rev[k]:
+            k += 1
+        border[i] = k
+    for q in range(n - 2):
         m = n - q
-        if m < 3:
-            break
-        for p in _smallest_period(syms[q:]):
-            if 3 * p <= m:
-                return (q, p)
-            if p > m // 3:
-                break
+        p = m - border[m - 1]
+        if 3 * p <= m:
+            return (q, p)
     return None
 
 

@@ -318,12 +318,15 @@ SUBCOMMANDS = [
      dict(x="0/1", budget=50)),
     ("factor", "wanderer.json", ["--x", "0/1", "--m", "1000"],
      dict(x="0/1", m=1000)),
+    # a value may start with '-': the signed zero codes like 0/1
+    ("code", "golden.json", ["--x", "-0/1", "--len", "5"], dict(x="0/1", length=5)),
 ]
 
 
 @pytest.mark.parametrize("command,map_name,flags,fields", SUBCOMMANDS)
 def test_main_matches_dispatch(maps, capsys, command, map_name, flags, fields):
-    """main only parses: its output is dispatch's on the same RunConfig."""
+    """main only parses: its output is dispatch's on the RunConfig its flags
+    name (the last case compares `--x -0/1` with x="0/1", the same point)."""
     argv = [command]
     if map_name is not None:
         argv += ["--map", maps[map_name]]
@@ -348,6 +351,7 @@ def test_main_matches_dispatch(maps, capsys, command, map_name, flags, fields):
         ["rabbit", "--bits", "0"],
         ["code", "--map", "", "--x", "0", "--len", "5"],
         ["code", "--map", "{golden}", "--x", "1/0", "--len", "5"],
+        ["code", "--map", "{golden}", "--x", "-1/3", "--len", "5"],  # out of domain
     ],
 )
 def test_main_input_errors_exit_1_with_json(maps, capsys, argv):
@@ -358,6 +362,9 @@ def test_main_input_errors_exit_1_with_json(maps, capsys, argv):
     lines = result.err.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"error", "detail"}
+    if "-1/3" in argv:  # the parser hands the value on, so dispatch's detail shows
+        assert result == dispatch(RunConfig(command="code", map_path=paths["golden"],
+                                            x="-1/3", length=5))
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:

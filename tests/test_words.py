@@ -1,8 +1,11 @@
 """Factor complexity, letter relabelings, and eventual-period detection."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ietpc import (
     KTooLarge,
@@ -107,6 +110,74 @@ def test_detect_on_aperiodic_prefixes_is_only_a_filter():
     assert detect_eventual_period(w) is None
     w100 = fibonacci_word(100).shift_letters(1)
     assert detect_eventual_period(w100) == (34, 21)
+
+
+def reference_detect(word):
+    """The per-start detector the one-pass version replaced: a failure
+    function for every suffix, O(n^2), kept as the test oracle."""
+    syms = word.symbols
+    n = len(syms)
+    for q in range(n - 2):
+        s = syms[q:]
+        m = len(s)
+        fail = [0] * m
+        k = 0
+        for i in range(1, m):
+            while k and s[i] != s[k]:
+                k = fail[k - 1]
+            if s[i] == s[k]:
+                k += 1
+            fail[i] = k
+        border = fail[m - 1]
+        while True:  # the periods of s, smallest first
+            p = m - border
+            if 3 * p <= m:
+                return (q, p)
+            if p > m // 3 or border == 0:
+                break
+            border = fail[border - 1]
+    return None
+
+
+letters = st.integers(1, 3)
+
+
+@st.composite
+def uniform_words(draw):
+    size = draw(st.integers(1, 3))
+    return draw(st.lists(st.integers(1, size), min_size=8, max_size=300))
+
+
+@st.composite
+def eventually_periodic_words(draw):
+    pre = draw(st.lists(letters, max_size=60))
+    block = draw(st.lists(letters, min_size=1, max_size=20))
+    n = draw(st.integers(8, 300))
+    return (pre + block * (n // len(block) + 1))[:n]
+
+
+@st.composite
+def shifted_fibonacci_prefixes(draw):
+    start = draw(st.integers(0, 200))
+    n = draw(st.integers(8, 300))
+    return list(fibonacci_word(start + n).shift_letters(1).symbols[start:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(uniform_words(), eventually_periodic_words(),
+                 shifted_fibonacci_prefixes()))
+def test_detect_matches_per_start_reference(symbols):
+    w = SymbolicWord(tuple(symbols), 3)
+    assert detect_eventual_period(w) == reference_detect(w)
+
+
+def test_detect_is_linear_on_a_long_fibonacci_word():
+    """The per-start scan needs about a minute on 2^15 letters."""
+    w = fibonacci_word(2**15)
+    t0 = time.perf_counter()
+    hit = detect_eventual_period(w)
+    assert time.perf_counter() - t0 < 1.0
+    assert hit is not None and 3 * hit[1] <= len(w) - hit[0]
 
 
 def test_suffix_complexity_invariance_of_recurrent_word():
