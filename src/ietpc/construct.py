@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional
 
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .iet import Iet
 from .iet import coding as iet_coding
-from .numeric import Ball, ExactNumber, Scalarish, as_exact, compare, format_scalar
+from .numeric import Ball, ExactNumber, Scalarish, as_exact, format_scalar
 from .pc import PiecewiseContraction, ball_piece, ball_step, new_pc
 from .words import SymbolicWord, fibonacci_word
 
@@ -112,13 +111,13 @@ def build_gap_system(T: Iet, seed: Scalarish, N: int) -> GapSystem:
         i, point = T.step(point)
         pieces.append(i)
 
-    order = sorted(range(N), key=cmp_to_key(lambda a, b: compare(orbit[a], orbit[b])))
+    order = sorted(range(N), key=orbit.__getitem__)
     inf_truncs: list[Optional[Fraction]] = [None] * N
     acc = Fraction(0)
     pending = Fraction(0)
     prev = None
     for idx in order:
-        if prev is None or compare(orbit[idx], prev) != 0:
+        if prev is None or orbit[idx] != prev:
             acc += pending
             pending = Fraction(0)
         inf_truncs[idx] = acc
@@ -299,8 +298,7 @@ def build_pc_from_iet(
         bps.append(bps[-1] + width[i])
     bps[n] = Fraction(1)  # last piece absorbs the 2^-N tail deficit
 
-    order = sorted(range(1, n + 1), key=cmp_to_key(
-        lambda a, b: compare(T.images[a - 1].lo, T.images[b - 1].lo)))
+    order = T._image_order[1]
 
     eps = Fraction(1, 2 ** (N + 4))
     sep_before: dict[int, bool] = {}

@@ -11,6 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import (
@@ -51,10 +52,6 @@ class PiecewiseContraction:
     @property
     def n(self) -> int:
         return len(self.slopes)
-
-    @property
-    def interior_breakpoints(self) -> tuple[ExactNumber, ...]:
-        return self.breakpoints[1:-1]
 
     def piece_interval(self, i: int) -> Interval:
         return Interval(self.breakpoints[i - 1], self.breakpoints[i])
@@ -543,7 +540,8 @@ class EmpiricalFactor:
     [x_{i-1}, x_i) to a translation by translations_hat[i].  residual is
     the worst observed violation of h(f(s)) = h(s) + translation over the
     kept pieces.  approximate marks orbits that outgrew the exact bit
-    budget and were continued in outward-rounded ball arithmetic.
+    budget and were continued in outward-rounded ball arithmetic; their
+    letters stay certified, only the sampled points are ball centres.
     """
 
     orbit_len: int
@@ -574,7 +572,9 @@ def _orbit_stats(
     with parameter precision, so statistics must follow the exact orbit of
     the given map.  Exact arithmetic runs as long as representations stay
     under bit_budget bits; past that the orbit continues as an
-    outward-rounded ball and the result is flagged approximate.
+    outward-rounded ball and the result is flagged approximate.  Every letter
+    is certified: CodingUndecidable(k) is raised at the first step k where
+    the ball straddles a breakpoint.
     """
     n = f.n
     pts = [0.0] * length
@@ -610,9 +610,7 @@ def _orbit_stats(
     while k < length:
         i = ball_piece(ball, f.breakpoints, f.breakpoints)
         if i is None:
-            # ball straddles a breakpoint; pick the center's piece and let
-            # the approximate flag own the ambiguity
-            i = f.piece_index(ExactNumber(ball.center))
+            raise CodingUndecidable(k)
         pts[k] = float(ball.center)
         lets[k] = i
         ball = ball_step(ball, slope_balls[i - 1], intercept_balls[i - 1], grid)
@@ -637,10 +635,12 @@ def empirical_factor(
     within lambda^burn_in of its omega-limit, so the discarded head only
     smears the distribution function with transient mass.
     Raises PeriodicOrbit when the coding of x is certifiably ultimately
-    periodic (a finite orbit closure supports no useful statistics) and
-    InsufficientVisits when no piece collects at least log2(m) visits.
+    periodic (a finite orbit closure supports no useful statistics),
+    CodingUndecidable when the ball continuation past bit_budget cannot
+    certify a letter, and InsufficientVisits when no piece collects at
+    least log2(m) visits.
     """
-    import numpy as np
+    import statistics
 
     if m < 1000:
         raise ValueError("m must be >= 1000")
@@ -658,12 +658,12 @@ def empirical_factor(
     pts, lets, approximate = _orbit_stats(
         rep, x0, burn_in + m + 1, bit_budget, precision_bits
     )
-    orbit = np.asarray(pts[burn_in:])
-    letters = np.asarray(lets[burn_in:])
-    sample = np.sort(orbit[:m])
-    H = np.searchsorted(sample, orbit, side="right") / m
+    orbit = pts[burn_in:]
+    letters = lets[burn_in:]
+    sample = sorted(orbit[:m])
+    H = [bisect_right(sample, v) / m for v in orbit]
 
-    counts = [int(np.count_nonzero(letters[:m] == i)) for i in range(1, rep.n + 1)]
+    counts = [letters[:m].count(i) for i in range(1, rep.n + 1)]
     threshold = math.log2(m)
     kept = tuple(i for i in range(1, rep.n + 1) if counts[i - 1] >= threshold)
     if not kept:
@@ -674,24 +674,20 @@ def empirical_factor(
     # h at a breakpoint counts samples to its left, which the exact letters
     # already know; float comparisons would misplace samples when the
     # attractor has structure below double precision
-    bps_hat = tuple(float(v) for v in np.concatenate(
-        ([0.0], np.cumsum(counts) / m)
-    ))
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
-    h_grid = tuple(
-        float(v) for v in np.searchsorted(sample, grid, side="right") / m
-    )
-    jumps = H[1:] - H[:-1]
-    piece_of_s = letters[:-1]
+    bps_hat = (0.0, *(c / m for c in accumulate(counts)))
+    # i * step with the exact right end: i / grid_size can differ in the last bit
+    grid = [i * (1.0 / grid_size) for i in range(grid_size)] + [1.0]
+    h_grid = tuple(bisect_right(sample, v) / m for v in grid)
+    jumps_of: dict[int, list[float]] = {i: [] for i in kept}
+    for i, a, b in zip(letters, H, H[1:]):
+        if i in jumps_of:
+            jumps_of[i].append(b - a)
     translations: dict[int, float] = {}
     residual = 0.0
-    for i in kept:
-        mask = piece_of_s == i
-        if not mask.any():
-            continue
-        b_hat = float(np.median(jumps[mask]))
+    for i, jumps in jumps_of.items():
+        b_hat = statistics.median(jumps)
         translations[i] = b_hat
-        residual = max(residual, float(np.abs(jumps[mask] - b_hat).max()))
+        residual = max(residual, max(abs(j - b_hat) for j in jumps))
     return EmpiricalFactor(
         orbit_len=m,
         visit_counts=tuple(counts),

@@ -2,7 +2,9 @@
 ultimately periodic orbits."""
 
 import dataclasses
+import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,14 +23,16 @@ from ietpc import (
     OutOfDomain,
     PeriodicCertificate,
     PeriodicOrbit,
+    build_pc_from_iet,
     certify_periodic,
     check_certificate,
     empirical_factor,
+    golden_rotation,
     new_iet,
     new_pc,
     pc_coding,
 )
-from ietpc.pc import ball_piece
+from ietpc.pc import _orbit_stats, ball_piece
 from strategies import half_slope_maps
 
 HALF = Fraction(1, 2)
@@ -285,3 +289,27 @@ def test_empirical_factor_argument_validation():
         empirical_factor(f, 0, m=1000, grid_size=1)
     with pytest.raises(ValueError):
         empirical_factor(f, 0, m=1000, burn_in=-1)
+
+
+@pytest.mark.parametrize("grid_size, digest", [
+    (512, "43f88b290ff30ad7"),
+    (7, "3faf6e9114e87b59"),
+])
+def test_empirical_factor_needs_no_numpy(monkeypatch, grid_size, digest):
+    # a None entry makes any `import numpy` raise ImportError; the digests
+    # pin h_grid as the earlier numpy implementation computed it
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    cpc = build_pc_from_iet(golden_rotation(), N=64)
+    fac = empirical_factor(cpc, 0, m=1000, grid_size=grid_size, bit_budget=256)
+    assert fac.approximate
+    assert len(fac.h_grid) == grid_size + 1
+    assert hashlib.sha256(repr(fac.h_grid).encode()).hexdigest()[:16] == digest
+
+
+def test_orbit_stats_ball_tail_raises_on_straddle():
+    f = new_pc([0, Fraction(1, 3), 1], [HALF, HALF], [Fraction(1, 3), HALF])
+    # bit_budget 0 sends the orbit of 0 straight to the ball tail, and the
+    # ball around its first image straddles the breakpoint 1/3
+    with pytest.raises(CodingUndecidable) as info:
+        _orbit_stats(f, ExactNumber(0), 6, 0, 16)
+    assert info.value.step == 1
