@@ -169,14 +169,15 @@ def _run(config: RunConfig) -> tuple[int, str]:
     return code, text
 
 
+def _coding(m, x: ExactNumber, length: int):
+    """The natural coding of x under an exchange or a contraction."""
+    return (iet_mod.coding if isinstance(m, Iet) else pc_mod.coding)(m, x, length)
+
+
 def _cmd_code(config: RunConfig) -> tuple[int, str]:
     _require(config, "x", "length")
     m = _load_any(config)
-    x = parse_scalar(config.x)
-    if isinstance(m, Iet):
-        word = iet_mod.coding(m, x, config.length)
-    else:
-        word = pc_mod.coding(m, x, config.length)
+    word = _coding(m, parse_scalar(config.x), config.length)
     fmt = config.fmt or "plain"
     if fmt == "plain":
         return 0, word.to_text() + "\n"
@@ -209,11 +210,7 @@ def _cmd_complexity(config: RunConfig) -> tuple[int, str]:
             return 0, canonical_json(payload)
         return 0, rc.table.to_csv_text()
     _require(config, "length")
-    if isinstance(m, Iet):
-        word = iet_mod.coding(m, x, config.length)
-    else:
-        word = pc_mod.coding(m, x, config.length)
-    table = words_mod.complexity(word, config.k_max)
+    table = words_mod.complexity(_coding(m, x, config.length), config.k_max)
     if fmt == "json":
         return 0, canonical_json(table.to_json_dict())
     return 0, table.to_csv_text()

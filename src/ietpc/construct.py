@@ -34,7 +34,7 @@ from .errors import (
 from .iet import Iet
 from .iet import coding as iet_coding
 from .numeric import Ball, ExactNumber, Scalarish, as_exact, format_scalar
-from .pc import PiecewiseContraction, ball_piece, ball_step, new_pc
+from .pc import PiecewiseContraction, ball_orbit, new_pc
 from .words import SymbolicWord, fibonacci_word
 
 
@@ -648,19 +648,17 @@ def verify_semiconjugacy(
     seed_letters = iet_coding(T, gs.seed, samples + L - 1).symbols
     for k in range(1, samples + 1):
         t_letters = seed_letters[k - 1:k - 1 + L]
-        ball = gs.gap_mid_ball(k)
-        for j in range(L):
-            piece = ball_piece(ball, lower, upper)
-            if piece is None:
-                undecided += L - j
-                break
+        walk = ball_orbit(gs.gap_mid_ball(k), lower, upper, slopes,
+                          cpc.intercept_balls, None, L)
+        letters = [piece for piece, _ in walk]
+        undecided += L - len(letters)
+        for j, piece in enumerate(letters):
             if piece == t_letters[j]:
                 agree += 1
             else:
                 disagree += 1
                 if first_disagreement is None:
                     first_disagreement = (k, j)
-            ball = ball_step(ball, slopes[piece - 1], cpc.intercept_balls[piece - 1])
     return SemiconjugacyReport(
         samples=samples,
         length=L,

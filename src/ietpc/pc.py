@@ -137,30 +137,109 @@ def coding(
     a point's representation exceeds bit_budget bits.  Approximate mode tracks
     the orbit as a shrinking-slope ball instead; it never blows up but raises
     CodingUndecidable at the first step where the ball straddles a breakpoint.
+    Both modes raise OutOfDomain when x lies outside [0, 1).
     """
     from .words import SymbolicWord
 
     if length < 1:
         raise ValueError("length must be >= 1")
-    point = as_exact(x)
-    letters = []
     if approximate:
-        slope_balls, intercept_balls, grid = _ball_params(f, precision_bits)
-        ball = to_ball(point, precision_bits)
-        for k in range(length):
-            i = ball_piece(ball, f.breakpoints, f.breakpoints)
-            if i is None:
-                raise CodingUndecidable(k)
-            letters.append(i)
-            ball = ball_step(ball, slope_balls[i - 1], intercept_balls[i - 1], grid)
+        letters, _ = _orbit(f, x, length, 0, precision_bits)
         return SymbolicWord(tuple(letters), f.n, "pc coding (ball)")
-    for k in range(length):
-        bits = point.bit_size()
-        if bits > bit_budget:
-            raise DenominatorBlowup(k, bits, bit_budget)
-        i, point = f.step(point)
-        letters.append(i)
+    letters, _ = _orbit(f, x, length, bit_budget)
     return SymbolicWord(tuple(letters), f.n, "pc coding")
+
+
+def _fraction_bits(q: Fraction) -> int:
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _orbit(
+    f: PiecewiseContraction, x: Scalarish, length: int, bit_budget: int,
+    precision_bits: Optional[int] = None, floats: Optional[list] = None,
+) -> tuple[list[int], bool]:
+    """The first length letters of the orbit of x, and whether a ball
+    carried part of it.
+
+    The orbit is exact while it steps from points of at most bit_budget
+    bits; rational maps step on their Fractions, others on ExactNumbers.
+    At the first larger point it raises DenominatorBlowup(step, bits,
+    bit_budget) when precision_bits is None, and otherwise continues as an
+    outward-rounded ball of that precision, raising CodingUndecidable(step)
+    where the ball first straddles a breakpoint; bit_budget 0 starts in the
+    ball.  floats, when given, receives every point stepped from as a float
+    (a ball's centre).  Raises OutOfDomain when x lies outside [0, 1); the
+    images of f stay inside, so one check covers the whole orbit.
+    """
+    point = as_exact(x)
+    if not 0 <= point < 1:
+        raise OutOfDomain(f"{point} outside [0, 1)")
+    params = (f.breakpoints, f.slopes, f.intercepts)
+    if point.is_rational and all(v.is_rational for vs in params for v in vs):
+        bps, sls, ics = ([v.to_fraction() for v in vs] for vs in params)
+        point, bits = point.to_fraction(), _fraction_bits
+    else:
+        (bps, sls, ics), bits = params, ExactNumber.bit_size
+    n = f.n
+    letters: list[int] = []
+    while len(letters) < length and bits(point) <= bit_budget:
+        i = bisect_right(bps, point, 1, n)
+        if floats is not None:
+            floats.append(float(point))
+        letters.append(i)
+        point = sls[i - 1] * point + ics[i - 1]
+    k = len(letters)
+    if k == length:
+        return letters, False
+    if precision_bits is None:
+        raise DenominatorBlowup(k, bits(point), bit_budget)
+    walk = ball_orbit(
+        to_ball(point, precision_bits), bps, bps,
+        [to_ball(s, precision_bits) for s in f.slopes],
+        [to_ball(c, precision_bits) for c in f.intercepts],
+        max(precision_bits + 8, 16), length - k,
+    )
+    for i, ball in walk:
+        if floats is not None:
+            floats.append(float(ball.center))
+        letters.append(i)
+    if len(letters) < length:
+        raise CodingUndecidable(len(letters))
+    return letters, True
+
+
+def ball_orbit(
+    ball: Ball, lower_edges: Sequence, upper_edges: Sequence,
+    slopes: Sequence[Ball], intercepts: Sequence[Ball], grid: Optional[int],
+    length: int,
+):
+    """Yield (letter, ball) for up to length steps of a ball orbit, ending
+    early at the first ball that straddles a breakpoint.
+
+    Letters are read with ball_piece from the breakpoint enclosures
+    lower_edges, upper_edges.  A step from piece i yields a ball holding
+    s*x + c for every s in slopes[i-1], x in the ball and c in
+    intercepts[i-1].  With grid, the product's center is rounded down onto
+    the 2**-grid lattice and the radius grown to cover the rounding, which
+    keeps long orbits at bounded size; without, every step is exact.
+    """
+    for _ in range(length):
+        i = ball_piece(ball, lower_edges, upper_edges)
+        if i is None:
+            return
+        yield i, ball
+        slope, intercept = slopes[i - 1], intercepts[i - 1]
+        center = slope.center * ball.center
+        radius = (
+            abs(slope.center) * ball.radius
+            + abs(ball.center) * slope.radius
+            + slope.radius * ball.radius
+        )
+        if grid is not None:
+            c_lo = Fraction(math.floor(center * 2**grid), 2**grid)
+            radius = dyadic_ceil(radius + center - c_lo, grid)
+            center = c_lo
+        ball = Ball(center + intercept.center, radius + intercept.radius)
 
 
 def ball_piece(ball: Ball, lower_edges: Sequence, upper_edges: Sequence) -> Optional[int]:
@@ -177,35 +256,6 @@ def ball_piece(ball: Ball, lower_edges: Sequence, upper_edges: Sequence) -> Opti
     if i < len(lower_edges) and (i == 1 or upper_edges[i - 1] <= lo):
         return i
     return None
-
-
-def ball_step(ball: Ball, slope: Ball, intercept: Ball, grid: Optional[int] = None) -> Ball:
-    """A ball holding s*x + c for every s in slope, x in ball, c in intercept.
-
-    With grid, the product's center is rounded down onto the 2**-grid
-    lattice and the radius grown to cover the rounding, which keeps long
-    orbits at bounded size; without, the step is exact.
-    """
-    center = slope.center * ball.center
-    radius = (
-        abs(slope.center) * ball.radius
-        + abs(ball.center) * slope.radius
-        + slope.radius * ball.radius
-    )
-    if grid is not None:
-        c_lo = Fraction(math.floor(center * 2**grid), 2**grid)
-        radius = dyadic_ceil(radius + center - c_lo, grid)
-        center = c_lo
-    return Ball(center + intercept.center, radius + intercept.radius)
-
-
-def _ball_params(f: PiecewiseContraction, precision_bits: int):
-    """Slope balls, intercept balls and rounding grid of a ball orbit of f."""
-    return (
-        [to_ball(s, precision_bits) for s in f.slopes],
-        [to_ball(c, precision_bits) for c in f.intercepts],
-        max(precision_bits + 8, 16),
-    )
 
 
 # ------------------------------------------------------- periodic certificates
@@ -554,70 +604,6 @@ class EmpiricalFactor:
     approximate: bool
 
 
-def _fraction_bits(q: Fraction) -> int:
-    return max(q.numerator.bit_length(), q.denominator.bit_length())
-
-
-def _orbit_stats(
-    f: PiecewiseContraction,
-    x0: ExactNumber,
-    length: int,
-    bit_budget: int,
-    precision_bits: int,
-):
-    """Orbit points as floats plus exact letters, for statistics.
-
-    Float iteration silently truncates parameters to 53 bits, and a
-    contraction near a rotation locks onto an attractor whose period grows
-    with parameter precision, so statistics must follow the exact orbit of
-    the given map.  Exact arithmetic runs as long as representations stay
-    under bit_budget bits; past that the orbit continues as an
-    outward-rounded ball and the result is flagged approximate.  Every letter
-    is certified: CodingUndecidable(k) is raised at the first step k where
-    the ball straddles a breakpoint.
-    """
-    n = f.n
-    pts = [0.0] * length
-    lets = [0] * length
-    k = 0
-    rational = x0.is_rational and all(
-        v.is_rational for v in (*f.breakpoints, *f.slopes, *f.intercepts)
-    )
-    if rational:
-        bps = [b.to_fraction() for b in f.breakpoints]
-        sls = [s.to_fraction() for s in f.slopes]
-        ics = [c.to_fraction() for c in f.intercepts]
-        point = x0.to_fraction()
-        while k < length and _fraction_bits(point) <= bit_budget:
-            i = bisect_right(bps, point, 1, n)
-            pts[k] = float(point)
-            lets[k] = i
-            point = sls[i - 1] * point + ics[i - 1]
-            k += 1
-        carry = ExactNumber(point)
-    else:
-        point = x0
-        while k < length and point.bit_size() <= bit_budget:
-            pts[k] = float(point)
-            lets[k], point = f.step(point)
-            k += 1
-        carry = point
-    if k == length:
-        return pts, lets, False
-
-    slope_balls, intercept_balls, grid = _ball_params(f, precision_bits)
-    ball = to_ball(carry, precision_bits)
-    while k < length:
-        i = ball_piece(ball, f.breakpoints, f.breakpoints)
-        if i is None:
-            raise CodingUndecidable(k)
-        pts[k] = float(ball.center)
-        lets[k] = i
-        ball = ball_step(ball, slope_balls[i - 1], intercept_balls[i - 1], grid)
-        k += 1
-    return pts, lets, True
-
-
 def empirical_factor(
     f,
     x: Scalarish,
@@ -637,8 +623,8 @@ def empirical_factor(
     Raises PeriodicOrbit when the coding of x is certifiably ultimately
     periodic (a finite orbit closure supports no useful statistics),
     CodingUndecidable when the ball continuation past bit_budget cannot
-    certify a letter, and InsufficientVisits when no piece collects at
-    least log2(m) visits.
+    certify a letter, InsufficientVisits when no piece collects at least
+    log2(m) visits, and OutOfDomain when x lies outside [0, 1).
     """
     import statistics
 
@@ -655,8 +641,11 @@ def empirical_factor(
         raise PeriodicOrbit(
             f"coding is ultimately periodic (q={cert.q}, p={cert.p})"
         )
-    pts, lets, approximate = _orbit_stats(
-        rep, x0, burn_in + m + 1, bit_budget, precision_bits
+    # a float orbit would truncate the parameters to 53 bits, and near a
+    # rotation it locks onto an attractor whose period grows with precision
+    pts: list[float] = []
+    lets, approximate = _orbit(
+        rep, x0, burn_in + m + 1, bit_budget, precision_bits, pts
     )
     orbit = pts[burn_in:]
     letters = lets[burn_in:]

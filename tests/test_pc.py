@@ -32,8 +32,9 @@ from ietpc import (
     new_pc,
     pc_coding,
 )
-from ietpc.pc import _orbit_stats, ball_piece
-from strategies import half_slope_maps
+from ietpc.numeric import as_exact
+from ietpc.pc import _orbit, ball_piece
+from strategies import half_slope_maps, slope_maps
 
 HALF = Fraction(1, 2)
 
@@ -193,6 +194,70 @@ def test_ball_coding_raises_when_undecidable():
     assert pc_coding(f, Fraction(1, 3), 60).to_text() == "1" * 60
 
 
+@pytest.mark.parametrize("approximate", [False, True])
+@pytest.mark.parametrize("x", [Fraction(-1, 3), 1, Fraction(4, 3)])
+def test_coding_refuses_starts_outside_the_domain(x, approximate):
+    with pytest.raises(OutOfDomain):
+        pc_coding(two_piece(), x, 6, approximate=approximate)
+
+
+def _step_orbit(f, x, length, bit_budget):
+    """(letters, points) by f.step, stopping like exact pc.coding."""
+    point, letters, points = as_exact(x), [], []
+    for k in range(length):
+        if point.bit_size() > bit_budget:
+            raise DenominatorBlowup(k, point.bit_size(), bit_budget)
+        points.append(point)
+        i, point = f.step(point)
+        letters.append(i)
+    return letters, points
+
+
+def surd_contraction():
+    a = (3 - ExactNumber.sqrt(5)) / 2
+    return new_pc([0, a, 1], [HALF, HALF], [HALF, -a / 2])
+
+
+def test_surd_contraction_codings_match_step_reference():
+    f, x = surd_contraction(), Fraction(1, 7)
+    letters, points = _step_orbit(f, x, 400, 10**5)
+    assert pc_coding(f, x, 400).symbols == tuple(letters)
+    assert pc_coding(f, x, 400, approximate=True).symbols == tuple(letters)
+    with pytest.raises(DenominatorBlowup) as info:
+        pc_coding(f, x, 400, bit_budget=300)
+    with pytest.raises(DenominatorBlowup) as ref:
+        _step_orbit(f, x, 400, 300)
+    assert (info.value.step, info.value.bits) == (ref.value.step, ref.value.bits)
+    for budget, approximate in ((300, True), (10**5, False)):
+        floats = []
+        assert _orbit(f, x, 400, budget, 192, floats) == (letters, approximate)
+        assert floats == pytest.approx([float(p) for p in points], abs=1e-9)
+
+
+def _assert_exact_coding_matches_step(f, x, length, bit_budget):
+    try:
+        expect = _step_orbit(f, x, length, bit_budget)[0]
+    except DenominatorBlowup as ref:
+        with pytest.raises(DenominatorBlowup) as info:
+            pc_coding(f, x, length, bit_budget=bit_budget)
+        assert (info.value.step, info.value.bits) == (ref.step, ref.bits)
+    else:
+        assert pc_coding(f, x, length, bit_budget=bit_budget).symbols == tuple(expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_slope_maps(), st.integers(1, 80))
+def test_exact_coding_matches_step_on_half_slopes(case, bit_budget):
+    _assert_exact_coding_matches_step(*case, 60, bit_budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(slope_maps(3), st.integers(1, 120))
+def test_exact_coding_matches_step_on_third_slopes(case, bit_budget):
+    _assert_exact_coding_matches_step(*case, 60, bit_budget)
+    _assert_exact_coding_matches_step(slow_denominators(), case[1], 60, bit_budget)
+
+
 # ----------------------------------------------------------- certificates
 
 
@@ -311,5 +376,5 @@ def test_orbit_stats_ball_tail_raises_on_straddle():
     # bit_budget 0 sends the orbit of 0 straight to the ball tail, and the
     # ball around its first image straddles the breakpoint 1/3
     with pytest.raises(CodingUndecidable) as info:
-        _orbit_stats(f, ExactNumber(0), 6, 0, 16)
+        _orbit(f, ExactNumber(0), 6, 0, 16)
     assert info.value.step == 1
