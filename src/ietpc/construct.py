@@ -34,7 +34,7 @@ from .errors import (
 from .iet import Iet
 from .iet import coding as iet_coding
 from .numeric import Ball, ExactNumber, Scalarish, as_exact, format_scalar
-from .pc import PiecewiseContraction, ball_orbit, new_pc
+from .pc import PiecewiseContraction, _dyadic_scale, ball_orbit, new_pc
 from .words import SymbolicWord, fibonacci_word
 
 
@@ -383,7 +383,8 @@ def build_pc_from_iet(
 
 
 def robust_certificate(
-    cpc: ConstructedPc, cert, _cycles: Optional[dict] = None
+    cpc: ConstructedPc, cert, _cycles: Optional[dict] = None,
+    _family: Optional["_Family"] = None,
 ) -> bool:
     """Does the certificate hold for EVERY map inside the enclosures?
 
@@ -406,23 +407,25 @@ def robust_certificate(
     parameter uncertainty, through the preperiod; it must land inside the
     inner cylinder.
 
-    _cycles, when given, memoises the word half by period word; it must
-    only ever see one carrier (certify_periodic passes a fresh dict per
-    search).  All endpoints stay exact (ExactNumber), so True is a proof
-    that the true contraction's coding of cert.start is ultimately periodic
-    with the certified word.
+    _cycles, when given, memoises the word half by period word, and
+    _family is _Family.of(cpc); both must only ever see one carrier
+    (certify_periodic passes a fresh pair per search).  All endpoints stay
+    exact, so True is a proof that the true contraction's coding of
+    cert.start is ultimately periodic with the certified word.
     """
     word = tuple(cert.period)
-    if len(word) != cert.p or any(not 1 <= w <= cpc.pc.n for w in word):
-        return False
     cycles = {} if _cycles is None else _cycles
+    # the memo only holds words whose letters were checked
+    if len(word) != cert.p or (
+            word not in cycles and any(not 1 <= w <= cpc.pc.n for w in word)):
+        return False
+    family = _Family.of(cpc) if _family is None else _family
     if word not in cycles:
-        cycles[word] = _robust_cycle(_Family.of(cpc), word)
+        cycles[word] = _robust_cycle(family, word)
     cylinder = cycles[word]
     if cylinder is None:
         return False
 
-    family = _Family.of(cpc)
     y = as_exact(cert.start)
     hull = (y, False, y, False)
     for letter in cert.preperiod:
@@ -440,7 +443,8 @@ def robust_certificate(
 
 
 def _encloses(a: tuple, b: tuple) -> bool:
-    """Is interval b a subset of interval a, endpoint flags respected?"""
+    """Is interval b a subset of interval a, endpoint flags respected?
+    Ends may be exact scalars or numerators over one power of two."""
     alo, alo_open, ahi, ahi_open = a
     blo, blo_open, bhi, bhi_open = b
     if blo < alo or (blo == alo and alo_open and not blo_open):
@@ -452,23 +456,25 @@ def _encloses(a: tuple, b: tuple) -> bool:
 
 @dataclass(frozen=True)
 class _Family:
-    """Worst-case parameters of every map inside a carrier's enclosures."""
+    """Worst-case parameters of every map inside a carrier's enclosures.
+
+    scaled is _dyadic_scale of the ends and slopes when every end is dyadic
+    and every slope is +-2**-k, else None."""
 
     slopes: tuple[ExactNumber, ...]
     bp_lo: tuple[ExactNumber, ...]
     bp_hi: tuple[ExactNumber, ...]
     ic_lo: tuple[ExactNumber, ...]
     ic_hi: tuple[ExactNumber, ...]
+    scaled: Optional[tuple]
 
     @classmethod
     def of(cls, cpc) -> "_Family":
-        return cls(
-            cpc.pc.slopes,
-            tuple(ExactNumber(b.lo) for b in cpc.breakpoint_balls),
-            tuple(ExactNumber(b.hi) for b in cpc.breakpoint_balls),
-            tuple(ExactNumber(b.lo) for b in cpc.intercept_balls),
-            tuple(ExactNumber(b.hi) for b in cpc.intercept_balls),
-        )
+        bps, ics = cpc.breakpoint_balls, cpc.intercept_balls
+        ends = ([b.lo for b in bps], [b.hi for b in bps],
+                [b.lo for b in ics], [b.hi for b in ics])
+        return cls(cpc.pc.slopes, *(tuple(map(ExactNumber, vs)) for vs in ends),
+                   _dyadic_scale(ends, cpc.pc.slopes))
 
     def inner_piece(self, i: int) -> tuple:
         """[worst-case left endpoint, worst-case right endpoint) of piece i."""
@@ -487,9 +493,62 @@ class _Family:
         return s * yhi + blo, yhi_open, s * ylo + bhi, ylo_open
 
 
+def _scaled_robust_cycle(scaled: tuple, word: tuple[int, ...]) -> Optional[tuple]:
+    """_robust_cycle on a dyadic family's scaled integers (_Family.scaled).
+
+    The backward recursion stays over 2**e, a for-all preimage being a left
+    shift; the forward hull of a word whose shifts sum to K ends over
+    2**(e + K).  Only the cylinder leaves as ExactNumbers.
+    """
+    e, (bp_lo, bp_hi, ic_lo, ic_hi), steps = scaled
+    lo, lo_open, hi, hi_open = bp_hi[word[-1] - 1], False, bp_lo[word[-1]], True
+    for letter in reversed(word[:-1]):
+        sign, k = steps[letter - 1]
+        blo, bhi = ic_lo[letter - 1], ic_hi[letter - 1]
+        if sign > 0:
+            pre_lo, pre_lo_open = (lo - blo) << k, lo_open
+            pre_hi, pre_hi_open = (hi - bhi) << k, hi_open
+        else:
+            pre_lo, pre_lo_open = (bhi - hi) << k, hi_open
+            pre_hi, pre_hi_open = (blo - lo) << k, lo_open
+        plo, phi = bp_hi[letter - 1], bp_lo[letter]
+        if pre_lo > plo or (pre_lo == plo and pre_lo_open):
+            lo, lo_open = pre_lo, pre_lo_open
+        else:
+            lo, lo_open = plo, False
+        if pre_hi < phi or (pre_hi == phi and pre_hi_open):
+            hi, hi_open = pre_hi, pre_hi_open
+        else:
+            hi, hi_open = phi, True
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            return None
+
+    # the hull never leaves an inner piece on the way: each step lands
+    # in the next letter's for-all preimage, which the recursion above
+    # intersected with that letter's inner piece
+    ylo, ylo_open, yhi, yhi_open = lo, lo_open, hi, hi_open
+    shift = 0
+    for letter in word:
+        sign, k = steps[letter - 1]
+        shift += k
+        blo, bhi = ic_lo[letter - 1] << shift, ic_hi[letter - 1] << shift
+        if sign > 0:
+            ylo, yhi = ylo + blo, yhi + bhi
+        else:
+            ylo, ylo_open, yhi, yhi_open = blo - yhi, yhi_open, bhi - ylo, ylo_open
+    if not _encloses((lo << shift, lo_open, hi << shift, hi_open),
+                     (ylo, ylo_open, yhi, yhi_open)):
+        return None
+    scale = 1 << e
+    return (ExactNumber(Fraction(lo, scale)), lo_open,
+            ExactNumber(Fraction(hi, scale)), hi_open)
+
+
 def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
     """The word half of robust_certificate: the for-all inner cylinder of
     word when the worst-case cycle hull lands back inside it, else None."""
+    if family.scaled is not None:
+        return _scaled_robust_cycle(family.scaled, word)
     # built backwards through for-all preimages
     lo, lo_open, hi, hi_open = family.inner_piece(word[-1])
     for letter in reversed(word[:-1]):

@@ -230,12 +230,20 @@ class ExactNumber:
     # ------------------------------------------------------------ conversion
 
     def __float__(self) -> float:
-        value = float(self._rat)
-        if self._coef:
-            # Only for display/heuristics; decisions never use this.
-            num = self._coef.numerator * isqrt(self._d * 4**40)
-            value += num / (self._coef.denominator * 2**40)
-        return value
+        """The correctly rounded float.  Only for display and heuristics;
+        decisions never use it."""
+        if not self._coef:
+            return float(self._rat)
+        # sqrt(d) lies strictly between r / 2**g and (r + 1) / 2**g; a surd
+        # is irrational, so with enough guard bits both ends of the value's
+        # bracket round to the same float, which is then the value's
+        g = 64
+        while True:
+            r = isqrt(self._d << 2 * g)
+            lo = float(self._rat + self._coef * Fraction(r, 1 << g))
+            if lo == float(self._rat + self._coef * Fraction(r + 1, 1 << g)):
+                return lo
+            g *= 2
 
     def __repr__(self) -> str:
         return f"ExactNumber({format_scalar(self)!r})"

@@ -270,13 +270,16 @@ def _affine_preimage(a: ExactNumber, c: ExactNumber, iv: Interval) -> Interval:
     return Interval(v, u, iv.hi_closed, iv.lo_closed)
 
 
-def _compose_cycle(f: PiecewiseContraction, word: Sequence[int]):
+def _compose_cycle(f: PiecewiseContraction | _DyadicPc, word: Sequence[int]):
     """Cylinder of the word and the full-cycle affine map.
 
     Returns (C, a, c) where C is the set of x whose first len(word) letters
     are exactly word, and f^p restricted to C is x -> a*x + c.  Returns None
-    when the cylinder is empty.
+    when the cylinder is empty.  When f is a contraction's _DyadicPc the
+    same data comes back on scaled integers (_DyadicPc.compose_cycle).
     """
+    if isinstance(f, _DyadicPc):
+        return f.compose_cycle(word)
     C = f.piece_interval(word[0])
     a = ExactNumber(1)
     c = ExactNumber(0)
@@ -293,16 +296,134 @@ def _compose_cycle(f: PiecewiseContraction, word: Sequence[int]):
     return C, s * a, s * c + b
 
 
-def _self_mapping_cycle(f: PiecewiseContraction, word: tuple[int, ...]):
+def _self_mapping_cycle(f: PiecewiseContraction | _DyadicPc, word: tuple[int, ...]):
     """(C, a, c, fixed) for the word's cylinder C and cycle x -> a*x + c
     when the cycle maps C into itself, else None; fixed is the cycle's
-    fixed point, or None when it lies outside C."""
+    fixed point, or None when it lies outside C.  f may be a contraction
+    or its _DyadicPc, which gives the same answer."""
     built = _compose_cycle(f, word)
-    if built is None or not _cycle_contracts(*built):
+    if built is None:
+        return None
+    if isinstance(f, _DyadicPc):
+        return f.self_mapping(*built)
+    if not _cycle_contracts(*built):
         return None
     C, a, c = built
     fixed = c / (ExactNumber(1) - a)
     return C, a, c, (fixed if C.contains(fixed) else None)
+
+
+def _dyadic_scale(groups: Sequence[Sequence], slopes: Sequence):
+    """(e, scaled groups, steps) when every value of the groups is a
+    rational over a power of two and every slope is +-2**-k with k >= 1,
+    else None.
+
+    Each value v comes back as the integer v * 2**e, e being the largest
+    exponent among all the values, and slope j as steps[j] = (sign, k).
+    """
+    fracs = []
+    for v in (as_exact(v) for vs in groups for v in vs):
+        den = v.rational_part.denominator
+        if not v.is_rational or den & (den - 1):
+            return None
+        fracs.append(v.rational_part)
+    steps = []
+    for s in map(as_exact, slopes):
+        num, den = s.rational_part.numerator, s.rational_part.denominator
+        if not s.is_rational or abs(num) != 1 or den == 1 or den & (den - 1):
+            return None
+        steps.append((num, den.bit_length() - 1))
+    e = max(q.denominator.bit_length() - 1 for q in fracs)
+    nums = iter(q.numerator << (e + 1 - q.denominator.bit_length()) for q in fracs)
+    return e, [[next(nums) for _ in vs] for vs in groups], steps
+
+
+class _DyadicPc:
+    """The certificate search's word kernel for a contraction whose
+    parameters are dyadic and whose slopes are +-2**-k, on scaled integers.
+
+    Breakpoint i is bps[i] / 2**e and piece i maps x to
+    sign * x / 2**k + ics[i-1] / 2**e for steps[i-1] = (sign, k).  A
+    preimage under a composed cycle is a left shift, so cylinder ends stay
+    over 2**e; a word whose shifts sum to K has its cycle intercept over
+    2**(e + K).  Only self-mapping words leave the kernel, as the Interval
+    and ExactNumber objects of the exact path.
+    """
+
+    __slots__ = ("e", "bps", "ics", "steps")
+
+    def __init__(self, e: int, bps: list, ics: list, steps: list):
+        self.e, self.bps, self.ics, self.steps = e, bps, ics, steps
+
+    @classmethod
+    def of(cls, f: PiecewiseContraction) -> Optional["_DyadicPc"]:
+        scaled = _dyadic_scale((f.breakpoints, f.intercepts), f.slopes)
+        if scaled is None:
+            return None
+        e, (bps, ics), steps = scaled
+        return cls(e, bps, ics, steps)
+
+    def compose_cycle(self, word: Sequence[int]):
+        """((lo, lo_closed, hi, hi_closed), sign, K, c): the word's cylinder
+        with ends over 2**e and its cycle x -> sign * x / 2**K +
+        c / 2**(e + K), or None when the cylinder is empty."""
+        bps, ics, steps = self.bps, self.ics, self.steps
+        lo, lo_closed, hi, hi_closed = bps[word[0] - 1], True, bps[word[0]], False
+        sign, shift, c = 1, 0, 0
+        for prev, w in zip(word, word[1:]):
+            s, k = steps[prev - 1]
+            sign *= s
+            shift += k
+            c = s * c + (ics[prev - 1] << shift)
+            # preimage of piece w, intersected as Interval.intersect does
+            u = (bps[w - 1] << shift) - c
+            v = (bps[w] << shift) - c
+            if sign > 0:
+                plo, plo_closed, phi, phi_closed = u, True, v, False
+            else:
+                plo, plo_closed, phi, phi_closed = -v, False, -u, True
+            if plo > lo:
+                lo, lo_closed = plo, plo_closed
+            elif plo == lo:
+                lo_closed = lo_closed and plo_closed
+            if phi < hi:
+                hi, hi_closed = phi, phi_closed
+            elif phi == hi:
+                hi_closed = hi_closed and phi_closed
+            if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+                return None
+        s, k = steps[word[-1] - 1]
+        shift += k
+        c = s * c + (ics[word[-1] - 1] << shift)
+        return (lo, lo_closed, hi, hi_closed), sign * s, shift, c
+
+    def self_mapping(self, C: tuple, sign: int, shift: int, c: int):
+        """_self_mapping_cycle's answer from compose_cycle's data."""
+        lo, lo_closed, hi, hi_closed = C
+        # the image of C over 2**(e + shift), contained as in _cycle_contracts
+        if sign > 0:
+            img = (lo + c, lo_closed, hi + c, hi_closed)
+        else:
+            img = (c - hi, hi_closed, c - lo, lo_closed)
+        lo_k, hi_k = lo << shift, hi << shift
+        if img[0] < lo_k or (img[0] == lo_k and img[1] and not lo_closed):
+            return None
+        if img[2] > hi_k or (img[2] == hi_k and img[3] and not hi_closed):
+            return None
+        # the fixed point is c / (2**e * den): compare c with den times the ends
+        den = (1 << shift) - sign
+        inside = not (
+            c < lo * den or c > hi * den
+            or (c == lo * den and not lo_closed)
+            or (c == hi * den and not hi_closed)
+        )
+        scale = 1 << self.e
+        return (
+            Interval(Fraction(lo, scale), Fraction(hi, scale), lo_closed, hi_closed),
+            ExactNumber(Fraction(sign, 1 << shift)),
+            ExactNumber(Fraction(c, scale << shift)),
+            ExactNumber(Fraction(c, scale * den)) if inside else None,
+        )
 
 
 def _cycle_contracts(C: Interval, a: ExactNumber, c: ExactNumber) -> bool:
@@ -472,12 +593,15 @@ def certify_periodic(
     rep = _enclosed_representative(f)
     if rep is None:
         return _certify_exact(f, x, budget, bit_budget)
-    from .construct import robust_certificate
+    from .construct import _Family, robust_certificate
 
-    cycles: dict = {}  # robust_certificate's word-half memo for this search
+    # robust_certificate's word-half memo and family for this search
+    cycles: dict = {}
+    family = _Family.of(f)
     return _certify_exact(
         rep, x, budget, bit_budget,
-        _accept=lambda cert: robust_certificate(f, cert, _cycles=cycles),
+        _accept=lambda cert: robust_certificate(
+            f, cert, _cycles=cycles, _family=family),
     )
 
 
@@ -510,8 +634,10 @@ def _certify_exact(
     # Per-search memo, period word -> (C, a, c, fixed point or None when it
     # lies outside C) for a nonempty self-mapping cylinder, else None.  The
     # m loop below meets each rotation of a period word up to three times,
-    # and overlapping candidates meet the same rotations again.
+    # and overlapping candidates meet the same rotations again.  Dyadic maps
+    # fill it from their scaled-integer kernel.
     cycles: dict[tuple[int, ...], Optional[tuple]] = {}
+    word_map = _DyadicPc.of(f) or f
 
     for q_hint, p in candidates:
         if q_hint + 2 * p + 1 > budget:
@@ -521,7 +647,7 @@ def _certify_exact(
             shift = (m - q_hint) % p
             word = base[shift:] + base[:shift]
             if word not in cycles:
-                cycles[word] = _self_mapping_cycle(f, word)
+                cycles[word] = _self_mapping_cycle(word_map, word)
             cycle = cycles[word]
             if cycle is None:
                 continue
@@ -627,6 +753,7 @@ def empirical_factor(
     log2(m) visits, and OutOfDomain when x lies outside [0, 1).
     """
     import statistics
+    from array import array
 
     if m < 1000:
         raise ValueError("m must be >= 1000")
@@ -643,14 +770,15 @@ def empirical_factor(
         )
     # a float orbit would truncate the parameters to 53 bits, and near a
     # rotation it locks onto an attractor whose period grows with precision
-    pts: list[float] = []
+    pts = array("d")
     lets, approximate = _orbit(
         rep, x0, burn_in + m + 1, bit_budget, precision_bits, pts
     )
     orbit = pts[burn_in:]
     letters = lets[burn_in:]
-    sample = sorted(orbit[:m])
-    H = [bisect_right(sample, v) / m for v in orbit]
+    del pts, lets
+    sample = array("d", sorted(orbit[:m]))
+    H = array("d", (bisect_right(sample, v) / m for v in orbit))
 
     counts = [letters[:m].count(i) for i in range(1, rep.n + 1)]
     threshold = math.log2(m)
@@ -667,7 +795,7 @@ def empirical_factor(
     # i * step with the exact right end: i / grid_size can differ in the last bit
     grid = [i * (1.0 / grid_size) for i in range(grid_size)] + [1.0]
     h_grid = tuple(bisect_right(sample, v) / m for v in grid)
-    jumps_of: dict[int, list[float]] = {i: [] for i in kept}
+    jumps_of = {i: array("d") for i in kept}
     for i, a, b in zip(letters, H, H[1:]):
         if i in jumps_of:
             jumps_of[i].append(b - a)

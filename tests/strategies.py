@@ -40,3 +40,40 @@ def slope_maps(draw, q=2, min_pieces=1, max_pieces=4):
 def half_slope_maps(min_pieces=1, max_pieces=4):
     """Random injective rational maps with slopes +-1/2 and a start point."""
     return slope_maps(2, min_pieces, max_pieces)
+
+
+@st.composite
+def dyadic_maps(draw, min_pieces=1, max_pieces=4):
+    """Random injective dyadic maps and a start point: breakpoints on the
+    1/64 grid, slopes +-1/2 and +-1/4, and gap weights summing to a power of
+    two, so every breakpoint and intercept has a power-of-two denominator."""
+    n = draw(st.integers(min_pieces, max_pieces))
+    cuts = draw(st.lists(st.integers(1, 63), min_size=n - 1, max_size=n - 1,
+                         unique=True))
+    bps = [Fraction(0)] + sorted(Fraction(c, 64) for c in cuts) + [Fraction(1)]
+    slopes = draw(st.lists(st.sampled_from([Fraction(s, q) for s in (1, -1)
+                                            for q in (2, 4)]),
+                           min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    # as in slope_maps, the last gap and every gap above a reversed image
+    # are nonempty; the last gap also takes the weight that rounds the
+    # total up to a power of two
+    weights = draw(st.lists(st.integers(0, 6), min_size=n + 1, max_size=n + 1))
+    weights[-1] += 1
+    for j, i in enumerate(order[:-1]):
+        weights[j + 1] += slopes[i] < 0
+    weights[-1] += (1 << (sum(weights) - 1).bit_length()) - sum(weights)
+    free = 1 - sum(abs(s) * (b - a) for s, a, b in zip(slopes, bps, bps[1:]))
+    gaps = [free * w / sum(weights) for w in weights]
+    lo, start = gaps[0], {}
+    for j, i in enumerate(order):
+        start[i] = lo
+        lo += abs(slopes[i]) * (bps[i + 1] - bps[i]) + gaps[j + 1]
+    intercepts = [
+        start[i] - slopes[i] * (bps[i] if slopes[i] > 0 else bps[i + 1])
+        for i in range(n)
+    ]
+    f = new_pc(bps, slopes, intercepts)
+    den = draw(st.sampled_from([64, 105]))
+    x = Fraction(draw(st.integers(0, den - 1)), den)
+    return f, x

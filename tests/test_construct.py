@@ -8,6 +8,8 @@ that the verification machinery actually notices corruption.
 """
 
 import dataclasses
+import itertools
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from ietpc import (
     build_gap_system,
     build_pc_from_iet,
     certify_periodic,
+    check_certificate,
     default_seed,
     empirical_factor,
     golden_rotation,
@@ -38,11 +41,11 @@ from ietpc import (
     verify_semiconjugacy,
 )
 from ietpc import construct, pc
-from ietpc.errors import DenominatorBlowup
+from ietpc.errors import DenominatorBlowup, IetpcError
 from ietpc.mapio import canonical_json
 from ietpc.numeric import ExactNumber, as_exact, to_ball
 from ietpc.pc import PeriodicCertificate
-from strategies import half_slope_maps
+from strategies import dyadic_maps, half_slope_maps
 
 ALPHA = ExactNumber(Fraction(3, 2), Fraction(-1, 2), 5)
 RABBIT_19_DIGITS = Fraction("0.7098034428612913146")
@@ -481,3 +484,177 @@ def test_robust_verdict_does_not_depend_on_the_memo(case, search, bp_r, ic_r):
     for cert in certs + certs:
         assert robust_certificate(carrier, cert, _cycles=memo) == (
             robust_certificate(carrier, cert))
+
+
+# ------------------------------------------------------ dyadic word kernel
+
+
+def test_empirical_factor_keeps_its_transient_memory_small(cpc64):
+    """The golden orbit's sampled floats, distribution values and jumps sit
+    in float arrays: at m = 20000 the traced peak stays under 2 MiB (it was
+    2.9 MiB with lists)."""
+    tracemalloc.start()
+    try:
+        empirical_factor(cpc64, 0, m=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def _kernel_words(f, x, cert):
+    """Every word up to length 3, windows of x's coding up to length 8, and
+    every rotation of the period word of the map's certificate for x, if it
+    has one."""
+    letters = pc.coding(f, x, 40).symbols
+    words = {letters[i:i + p] for p in range(1, 9) for i in range(0, 40 - p, 3)}
+    words |= {w for p in (1, 2, 3)
+              for w in itertools.product(range(1, f.n + 1), repeat=p)}
+    if cert is not None:
+        words |= {cert.period[i:] + cert.period[:i] for i in range(cert.p)}
+    return sorted(words)
+
+
+# Dyadic maps whose words reach ties the random maps rarely do, each found
+# by searching for a map that tells a wrong endpoint flag from the right one
+TIES = (
+    # the cycle of (2, 1) maps (3/4, 1) into itself and fixes its open end
+    new_pc([0, Fraction(1, 2), 1], [Fraction(-1, 4), Fraction(-1, 2)],
+           [Fraction(7, 8), Fraction(7, 8)]),
+    # the cylinder of (3, 2, 1) is (3/4, 1): a closed preimage end meets an
+    # open one
+    new_pc([0, Fraction(1, 4), Fraction(3, 4), 1],
+           [Fraction(1, 4), Fraction(-1, 2), Fraction(-1, 4)],
+           [Fraction(15, 16), Fraction(3, 8), Fraction(15, 16)]),
+    # piece 1 maps [0, 1/2) onto (1/4, 1/2], closed at the open end 1/2
+    new_pc([0, Fraction(1, 2), 1], [Fraction(-1, 2), Fraction(1, 2)],
+           [Fraction(1, 2), Fraction(3, 8)]),
+    # the cycle of (3, 2) maps the closed end of (1/2, 3/4] onto its open end
+    new_pc([0, Fraction(1, 8), Fraction(1, 4), 1],
+           [Fraction(1, 4), Fraction(1, 2), Fraction(-1, 2)],
+           [Fraction(27, 32), Fraction(7, 16), Fraction(1, 2)]),
+    # the cylinder of (2, 2) shrinks to the point 3/4 with both ends open
+    new_pc([0, Fraction(1, 8), Fraction(3, 4), 1],
+           [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 2)],
+           [Fraction(0), Fraction(15, 16), Fraction(1, 8)]),
+    # the for-all cylinder of (1, 1) shrinks to the point 1/8 with both
+    # ends open
+    new_pc([0, Fraction(1, 8), Fraction(7, 8), 1],
+           [Fraction(-1, 4), Fraction(-1, 4), Fraction(-1, 2)],
+           [Fraction(5, 32), Fraction(29, 32), Fraction(23, 32)]),
+)
+
+
+def _with_ties(**kwargs):
+    """Add an example from 7/8 on every map of TIES, with kwargs besides."""
+
+    def add(test):
+        for f in TIES:
+            test = example(case=(f, Fraction(7, 8)), **kwargs)(test)
+        return test
+
+    return add
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_maps(max_pieces=3))
+@_with_ties()
+def test_dyadic_kernel_words_match_the_exact_path(case):
+    f, x = case
+    kernel = pc._DyadicPc.of(f)
+    assert kernel is not None
+    for word in _kernel_words(f, x, certify_periodic(f, x)):
+        assert pc._self_mapping_cycle(kernel, word) == pc._self_mapping_cycle(f, word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dyadic_maps(max_pieces=3), half_slope_maps(max_pieces=3)),
+       RADII, RADII)
+@_with_ties(bp_r=Fraction(0), ic_r=Fraction(0))
+def test_scaled_family_words_match_the_exact_path(case, bp_r, ic_r):
+    """Carrier ends are dyadic balls, so the family of any slope-1/2 map,
+    dyadic or not, runs on the scaled kernel."""
+    f, x = case
+    family = construct._Family.of(_wrap(f, bp_r, ic_r))
+    assert family.scaled is not None
+    exact = dataclasses.replace(family, scaled=None)
+    for word in _kernel_words(f, x, certify_periodic(f, x)):
+        assert construct._robust_cycle(family, word) == (
+            construct._robust_cycle(exact, word))
+
+
+def test_non_dyadic_maps_never_enter_the_kernel(monkeypatch):
+    """A 1/60-grid map, like certify-lockin's, certifies on the exact path;
+    a dyadic one reaches the patched kernel."""
+
+    def refuse(*args):
+        raise AssertionError("entered the dyadic kernel")
+
+    monkeypatch.setattr(pc._DyadicPc, "compose_cycle", refuse)
+    monkeypatch.setattr(pc._DyadicPc, "self_mapping", refuse)
+    sixtieths = new_pc([0, Fraction(20, 60), 1], [Fraction(1, 2)] * 2,
+                       [Fraction(60, 120), Fraction(-20, 120)])
+    cert = certify_periodic(sixtieths, 0)
+    assert cert is not None and cert.fixed_point == Fraction(1, 9)
+    assert check_certificate(sixtieths, cert)
+    dyadic = new_pc([0, Fraction(1, 2), 1], [Fraction(1, 2)] * 2,
+                    [Fraction(3, 4), Fraction(-1, 4)])
+    with pytest.raises(AssertionError, match="dyadic kernel"):
+        certify_periodic(dyadic, 0)
+
+
+def _exact_robust(carrier):
+    """robust_certificate on the ExactNumber family, the kernel's oracle."""
+    exact = dataclasses.replace(construct._Family.of(carrier), scaled=None)
+    return lambda cert: robust_certificate(carrier, cert, _family=exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_maps(min_pieces=2, max_pieces=3), SEARCHES)
+def test_dyadic_certify_matches_memo_free_reference(case, search):
+    f, x = case
+    assert _search(f, x, **search) == _search(
+        f, x, reference=_reference_certify, **search)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_maps(min_pieces=2, max_pieces=3), SEARCHES, RADII, RADII)
+def test_dyadic_certify_with_enclosures_matches_memo_free_reference(
+        case, search, bp_r, ic_r):
+    f, x = case
+    carrier = _wrap(f, bp_r, ic_r)
+    expected = _search(f, x, reference=_reference_certify,
+                       accept=_exact_robust(carrier), **search)
+    assert _search(carrier, x, **search) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dyadic_maps(max_pieces=3), half_slope_maps(max_pieces=3)),
+       RADII, RADII)
+def test_robust_certificates_hold_on_every_corner_member(case, bp_r, ic_r):
+    """Each family member whose interior breakpoints and intercepts sit at
+    ends of the carrier's balls, and which is a valid contraction, codes
+    the start as a robust certificate says."""
+    f, x = case
+    carrier = _wrap(f, bp_r, ic_r)
+    certs = []  # every certificate the exact search produces
+    try:
+        pc._certify_exact(f, x, 512, 4096, _accept=certs.append)
+    except DenominatorBlowup:
+        pass
+    unique = {(c.q, c.period): c for c in certs}.values()
+    robust = [c for c in unique if robust_certificate(carrier, c)]
+    # every member runs on [0, 1), so only interior breakpoints move
+    corners = ([[0]] + [sorted({b.lo, b.hi}) for b in carrier.breakpoint_balls[1:-1]]
+               + [[1]] + [sorted({b.lo, b.hi}) for b in carrier.intercept_balls])
+    members = []
+    for values in itertools.product(*corners):
+        try:
+            members.append(new_pc(values[:f.n + 1], f.slopes, values[f.n + 1:]))
+        except IetpcError:
+            pass
+    for cert in robust:
+        length = cert.q + 3 * cert.p
+        expected = cert.eventual_word(length).symbols
+        for g in members:
+            assert pc.coding(g, cert.start, length).symbols == expected

@@ -5,6 +5,8 @@ radicand per value, and balls must be genuine enclosures: every sampled
 member of the operand intervals must land inside the result interval.
 """
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,21 @@ def test_float_conversion_close():
     phi = (ExactNumber(1) + ExactNumber.sqrt(5)) / 2
     # float() routes through a finite-precision ball, so only ask for ~12 digits
     assert abs(float(phi) - 1.6180339887498949) < 1e-12
+
+
+def test_float_of_a_surd_is_correctly_rounded():
+    # a 40-bit square root gave 0.3819660112503698
+    assert float(ExactNumber(Fraction(3, 2), Fraction(-1, 2), 5)) == 0.38196601125010515
+
+
+@given(exact_numbers())
+def test_float_matches_an_80_digit_reference(x):
+    rat, coef = x.rational_part, x.surd_coef
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        ref = (Decimal(rat.numerator) / rat.denominator
+               + Decimal(coef.numerator) / coef.denominator * Decimal(x.radicand).sqrt())
+    assert float(x) == float(ref)
 
 
 # ------------------------------------------------------------- text forms
