@@ -189,7 +189,7 @@ def _cmd_code(config: RunConfig) -> tuple[int, str]:
         {
             "type": "word",
             "alphabet_size": word.alphabet_size,
-            "letters": list(word.symbols),
+            "letters": list(word),
             "text": word.to_text(),
         }
     )

@@ -481,10 +481,14 @@ class _Family:
         return self.bp_hi[i - 1], False, self.bp_lo[i], True
 
     def step(self, y: tuple, letter: int) -> Optional[tuple]:
-        """Hull of y's images under piece `letter` of every family member,
-        or None when y may leave that piece."""
+        """image(y, letter), or None when y may leave that piece."""
         if not _encloses(self.inner_piece(letter), y):
             return None
+        return self.image(y, letter)
+
+    def image(self, y: tuple, letter: int) -> tuple:
+        """Hull of y's images under piece `letter` of every family member;
+        unchecked, so y must lie inside the inner piece."""
         ylo, ylo_open, yhi, yhi_open = y
         s = self.slopes[letter - 1]
         blo, bhi = self.ic_lo[letter - 1], self.ic_hi[letter - 1]
@@ -573,11 +577,11 @@ def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
             return None
     cylinder = (lo, lo_open, hi, hi_open)
 
+    # as in _scaled_robust_cycle, each step lands in the next letter's
+    # for-all preimage, which lies inside that letter's inner piece
     hull = cylinder
     for letter in word:
-        hull = family.step(hull, letter)
-        if hull is None:
-            return None
+        hull = family.image(hull, letter)
     return cylinder if _encloses(cylinder, hull) else None
 
 
@@ -599,7 +603,7 @@ def rotation_pc(theta: SymbolicWord) -> RotationPc:
     2 - 2*delta.  Degenerate means the enclosures do not certify that both
     delta and the breakpoint lie strictly inside (0, 1).
     """
-    if any(c not in (1, 2) for c in theta.symbols):
+    if any(c not in (1, 2) for c in theta):
         raise BadAlphabet("rotation coding must use letters 1 and 2")
     L = len(theta)
     if L < 8:

@@ -148,7 +148,7 @@ def coding(T: Iet, x: Scalarish, length: int) -> SymbolicWord:
     for _ in range(length):
         i, point = T.step(point)
         letters.append(i)
-    return SymbolicWord(tuple(letters), T.n, "iet coding")
+    return SymbolicWord(letters, T.n, "iet coding")
 
 
 def irreducible(T: Iet) -> bool:

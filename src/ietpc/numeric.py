@@ -24,18 +24,42 @@ from .errors import DivisionByZero, IncompatibleRadicands
 Rationalish = Union[int, Fraction]
 Scalarish = Union["ExactNumber", int, Fraction]
 
+_ZERO = Fraction(0)
+
+
+# Radicands are made square-free by trial division up to their cube root, so
+# a bound on their size bounds the time of every parse (about 0.3 s at a
+# 64-bit prime).
+RADICAND_BITS = 64
+
 
 def _square_free(d: int) -> tuple[int, int]:
-    """Return (s, d') with d == s*s*d' and d' square-free."""
-    s = 1
+    """Return (s, d') with d == s*s*d' and d' square-free.
+
+    Trial factors f run while f**3 <= d (d shrinking as they are divided
+    out).  What is left then has no prime factor below f and is below f**3,
+    so it has at most two prime factors: it is 1, p, p*q or p*p, and only
+    p*p is not square-free, which isqrt detects.  ValueError when d has more
+    than RADICAND_BITS bits.
+    """
+    if d.bit_length() > RADICAND_BITS:
+        raise ValueError(f"radicand {d} exceeds {RADICAND_BITS} bits")
+    s = core = 1
     f = 2
-    while f * f <= d:
-        ff = f * f
-        while d % ff == 0:
-            d //= ff
-            s *= f
-        f += 1
-    return s, d
+    while f * f * f <= d:
+        if d % f == 0:
+            e = 0
+            while d % f == 0:
+                d //= f
+                e += 1
+            s *= f ** (e // 2)
+            if e % 2:
+                core *= f
+        f = 3 if f == 2 else f + 2
+    r = isqrt(d)
+    if r > 1 and r * r == d:
+        return s * r, core
+    return s, core * d
 
 
 class ExactNumber:
@@ -43,6 +67,8 @@ class ExactNumber:
 
     Normal form: coef == 0 implies d == 0 (the rational variant); otherwise
     d is square-free and >= 2.  Arbitrary-precision integers throughout.
+    The constructor, ``sqrt`` and ``parse_scalar`` normalise; arithmetic
+    results keep the operands' square-free radicand (``_make``).
     """
 
     __slots__ = ("_rat", "_coef", "_d")
@@ -65,6 +91,17 @@ class ExactNumber:
         self._rat = rat
         self._coef = coef
         self._d = d
+
+    @classmethod
+    def _make(cls, rat: Fraction, coef: Fraction, d: int) -> "ExactNumber":
+        """Trusted constructor for results of arithmetic: rat and coef are
+        Fractions and d is already square-free; only coef == 0 => d == 0 is
+        normalised."""
+        x = object.__new__(cls)
+        x._rat = rat
+        x._coef = coef
+        x._d = d if coef else 0
+        return x
 
     # ------------------------------------------------------------ accessors
 
@@ -109,7 +146,7 @@ class ExactNumber:
         if isinstance(value, ExactNumber):
             return value
         if isinstance(value, (int, Fraction)):
-            return ExactNumber(value)
+            return ExactNumber._make(Fraction(value), _ZERO, 0)
         return None
 
     def _join_d(self, other: "ExactNumber") -> int:
@@ -125,7 +162,8 @@ class ExactNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactNumber(self._rat + o._rat, self._coef + o._coef, self._join_d(o))
+        return ExactNumber._make(
+            self._rat + o._rat, self._coef + o._coef, self._join_d(o))
 
     __radd__ = __add__
 
@@ -133,7 +171,8 @@ class ExactNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactNumber(self._rat - o._rat, self._coef - o._coef, self._join_d(o))
+        return ExactNumber._make(
+            self._rat - o._rat, self._coef - o._coef, self._join_d(o))
 
     def __rsub__(self, other: Scalarish) -> "ExactNumber":
         o = self._coerce(other)
@@ -142,7 +181,7 @@ class ExactNumber:
         return o - self
 
     def __neg__(self) -> "ExactNumber":
-        return ExactNumber(-self._rat, -self._coef, self._d)
+        return ExactNumber._make(-self._rat, -self._coef, self._d)
 
     def __mul__(self, other: Scalarish) -> "ExactNumber":
         o = self._coerce(other)
@@ -151,7 +190,7 @@ class ExactNumber:
         d = self._join_d(o)
         rat = self._rat * o._rat + self._coef * o._coef * d
         coef = self._rat * o._coef + self._coef * o._rat
-        return ExactNumber(rat, coef, d)
+        return ExactNumber._make(rat, coef, d)
 
     __rmul__ = __mul__
 
@@ -163,12 +202,12 @@ class ExactNumber:
             raise DivisionByZero("division by zero")
         d = self._join_d(o)
         if o._coef == 0:
-            return ExactNumber(self._rat / o._rat, self._coef / o._rat, d)
+            return ExactNumber._make(self._rat / o._rat, self._coef / o._rat, d)
         # Multiply by the conjugate; a^2 - b^2 d != 0 because sqrt(d) is irrational.
         denom = o._rat * o._rat - o._coef * o._coef * d
         rat = self._rat * o._rat - self._coef * o._coef * d
         coef = self._coef * o._rat - self._rat * o._coef
-        return ExactNumber(rat / denom, coef / denom, d)
+        return ExactNumber._make(rat / denom, coef / denom, d)
 
     def __rtruediv__(self, other: Scalarish) -> "ExactNumber":
         o = self._coerce(other)

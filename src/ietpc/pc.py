@@ -145,9 +145,9 @@ def coding(
         raise ValueError("length must be >= 1")
     if approximate:
         letters, _ = _orbit(f, x, length, 0, precision_bits)
-        return SymbolicWord(tuple(letters), f.n, "pc coding (ball)")
+        return SymbolicWord(letters, f.n, "pc coding (ball)")
     letters, _ = _orbit(f, x, length, bit_budget)
-    return SymbolicWord(tuple(letters), f.n, "pc coding")
+    return SymbolicWord(letters, f.n, "pc coding")
 
 
 def _fraction_bits(q: Fraction) -> int:
@@ -467,7 +467,7 @@ class PeriodicCertificate:
         while len(letters) < length:
             letters.extend(self.period)
         alpha = max(max(self.preperiod, default=1), max(self.period))
-        return SymbolicWord(tuple(letters[:length]), alpha, "certified periodic")
+        return SymbolicWord(letters[:length], alpha, "certified periodic")
 
     def to_json_dict(self) -> dict:
         return {
@@ -546,7 +546,7 @@ def _detection_candidates(f: PiecewiseContraction, x: ExactNumber, detect_len: i
             break
         seen_at[key] = k
     if len(lets) >= 8:
-        word = SymbolicWord(tuple(lets), f.n, "float detection")
+        word = SymbolicWord(lets, f.n, "float detection")
         hit = detect_eventual_period(word)
         if hit is not None:
             candidates.append(hit)

@@ -9,60 +9,85 @@ they care about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import KTooLarge, LengthMismatch, PrefixTooShort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class SymbolicWord:
     """An immutable word over a small integer alphabet.
 
     ``alphabet_size`` is a hint for the ambient alphabet {0..alphabet_size}
     or {1..alphabet_size}; codings of n-piece maps use letters 1..n, while
     binary combinatorial words use 0/1.
+
+    The letters are stored one byte each when ``alphabet_size <= 255`` and
+    as a tuple otherwise.  ``word[i]`` is a letter, ``word[i:j]`` a tuple of
+    letters, and ``symbols`` copies all of them into a tuple.
     """
 
-    symbols: tuple[int, ...]
+    _letters: Union[bytes, tuple[int, ...]]
     alphabet_size: int
     provenance: str = ""
 
-    def __post_init__(self):
-        if len(self.symbols) < 1:
+    def __init__(self, symbols: Sequence[int], alphabet_size: int,
+                 provenance: str = ""):
+        if len(symbols) < 1:
             raise ValueError("empty word")
-        if self.alphabet_size < 1:
+        if alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
-        for s in self.symbols:
-            if not 0 <= s <= self.alphabet_size:
-                raise ValueError(f"symbol {s} outside 0..{self.alphabet_size}")
+        if min(symbols) < 0 or max(symbols) > alphabet_size:
+            for s in symbols:
+                if not 0 <= s <= alphabet_size:
+                    raise ValueError(f"symbol {s} outside 0..{alphabet_size}")
+        letters = bytes(symbols) if alphabet_size <= 255 else tuple(symbols)
+        object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "provenance", provenance)
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        """The letters as a new tuple (a copy of the stored letters)."""
+        return tuple(self._letters)
+
+    def __repr__(self) -> str:
+        return (f"SymbolicWord(symbols={self.symbols!r}, "
+                f"alphabet_size={self.alphabet_size!r}, "
+                f"provenance={self.provenance!r})")
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self._letters)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._letters)
 
     def __getitem__(self, i):
-        return self.symbols[i]
+        if isinstance(i, slice):
+            return tuple(self._letters[i])
+        return self._letters[i]
 
     def suffix(self, q: int) -> "SymbolicWord":
-        if not 0 <= q < len(self.symbols):
+        if not 0 <= q < len(self._letters):
             raise ValueError("suffix drop out of range")
         return SymbolicWord(
-            self.symbols[q:], self.alphabet_size, f"{self.provenance}|drop {q}"
+            self._letters[q:], self.alphabet_size, f"{self.provenance}|drop {q}"
         )
 
     def prefix(self, n: int) -> "SymbolicWord":
-        if not 1 <= n <= len(self.symbols):
+        if not 1 <= n <= len(self._letters):
             raise ValueError("prefix length out of range")
-        return SymbolicWord(self.symbols[:n], self.alphabet_size, self.provenance)
+        return SymbolicWord(self._letters[:n], self.alphabet_size, self.provenance)
 
     def shift_letters(self, offset: int) -> "SymbolicWord":
-        shifted = tuple(s + offset for s in self.symbols)
+        shifted = tuple(s + offset for s in self._letters)
         size = max(self.alphabet_size + offset, max(shifted))
         return SymbolicWord(shifted, size, f"{self.provenance}|shift {offset:+d}")
 
     def to_text(self) -> str:
         if self.alphabet_size <= 9:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+            return "".join(map(str, self._letters))
+        return ",".join(map(str, self._letters))
 
     @staticmethod
     def from_text(text: str, alphabet_size: int, provenance: str = "") -> "SymbolicWord":
@@ -111,8 +136,8 @@ def factors(word: SymbolicWord, k: int) -> set[tuple[int, ...]]:
     n = len(word)
     if k < 1 or k > n:
         raise KTooLarge(f"k={k} outside 1..{n}")
-    syms = word.symbols
-    return {syms[i : i + k] for i in range(n - k + 1)}
+    letters = word._letters
+    return {tuple(letters[i : i + k]) for i in range(n - k + 1)}
 
 
 def _affine_tail(entries: list[tuple[int, int]]) -> tuple[Optional[int], Optional[int], Optional[int]]:
@@ -158,7 +183,10 @@ def complexity(word: SymbolicWord, k_max: int, force: bool = False) -> Complexit
         )
     if k_max > n:
         raise KTooLarge(f"k_max={k_max} exceeds word length {n}")
-    entries = [(k, len(factors(word, k))) for k in range(1, k_max + 1)]
+    # distinct slices of the stored letters are the distinct factors
+    letters = word._letters
+    entries = [(k, len({letters[i : i + k] for i in range(n - k + 1)}))
+               for k in range(1, k_max + 1)]
     alpha, beta, k0 = _affine_tail(entries)
     return ComplexityTable(tuple(entries), alpha, beta, k0)
 
@@ -169,7 +197,7 @@ def isomorphic(w1: SymbolicWord, w2: SymbolicWord) -> Optional[dict[int, int]]:
         raise LengthMismatch(f"lengths differ: {len(w1)} vs {len(w2)}")
     mapping: dict[int, int] = {}
     inverse: dict[int, int] = {}
-    for a, b in zip(w1.symbols, w2.symbols):
+    for a, b in zip(w1._letters, w2._letters):
         if a in mapping:
             if mapping[a] != b:
                 return None
@@ -195,7 +223,7 @@ def detect_eventual_period(word: SymbolicWord) -> Optional[tuple[int, int]]:
     n = len(word)
     if n < 8:
         raise PrefixTooShort("need at least 8 letters to call a period")
-    rev = word.symbols[::-1]
+    rev = word._letters[::-1]
     border = [0] * n
     k = 0
     for i in range(1, n):
@@ -219,7 +247,7 @@ def fibonacci_word(length: int) -> SymbolicWord:
     w = [0]
     while len(w) < length:
         w = [s for a in w for s in ((0, 1) if a == 0 else (0,))]
-    return SymbolicWord(tuple(w[:length]), 2, "fibonacci")
+    return SymbolicWord(w[:length], 2, "fibonacci")
 
 
 def morse_hedlund_flag(table: ComplexityTable) -> bool:

@@ -4,18 +4,35 @@ Everything routes through dispatch(RunConfig), so most tests avoid spawning
 a terminal.  Exit codes: 0 success, 1 invalid input, 2 inconclusive.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ietpc
-from ietpc import golden_rotation, load_map, new_pc, rotation_iet
+from ietpc import (
+    BadPartition,
+    ImageEscapes,
+    IncompatibleRadicands,
+    MapFormatError,
+    NotBijective,
+    NotContracting,
+    NotInjective,
+    golden_rotation,
+    load_map,
+    new_pc,
+    rotation_iet,
+)
 from ietpc.cli import DispatchResult, RunConfig, dispatch, main
-from ietpc.mapio import canonical_json
+from ietpc.mapio import canonical_json, map_from_json_dict
 
 GOLDEN_X = "(3-1*sqrt(5))/2"
 
@@ -394,3 +411,78 @@ def test_module_entry_point(maps):
                      "--x", GOLDEN_X, "--len", "13")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1211212112112\n"
+
+
+# ----------------------------------------------------------------- fuzzing
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+scalar_texts = st.sampled_from(
+    ["0/1", "1/2", "1", "1/3", "2/3", "-1/4", "(3-1*sqrt(5))/2", "(1+1*sqrt(2))/4",
+     "(0+1*sqrt(100000000000000000000))/1", "1/0", "x", ""])
+map_like = st.fixed_dictionaries(
+    {"type": st.sampled_from(["iet", "pc", "rotation"]),
+     "breakpoints": st.lists(scalar_texts, max_size=4) | json_values},
+    optional={
+        "signs": st.lists(st.sampled_from([1, -1, 0, True, "1"]), max_size=3)
+        | json_values,
+        "translations": st.lists(scalar_texts, max_size=3) | json_values,
+        "slopes": st.lists(scalar_texts, max_size=3) | json_values,
+        "intercepts": st.lists(scalar_texts, max_size=3) | json_values,
+        "extra": json_values,
+    },
+)
+# a well-formed file may still describe no valid map: the constructors'
+# typed validation errors stay what the CLI reports for it
+MAP_ERRORS = (ValueError, MapFormatError, BadPartition, NotBijective, NotContracting,
+              NotInjective, ImageEscapes, IncompatibleRadicands)
+
+
+def _main_output(argv: list[str]) -> DispatchResult:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+    return DispatchResult(stop.value.code, out.getvalue(), err.getvalue())
+
+
+def _assert_clean_exit(result: DispatchResult) -> None:
+    """Exit 0 with no stderr, or exit 1 with one JSON error line."""
+    if result.exit_code == 0:
+        assert result.err == ""
+        return
+    assert result.exit_code == 1 and result.out == ""
+    lines = result.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in result.err
+    assert set(json.loads(lines[0])) == {"error", "detail"}
+
+
+@settings(deadline=None, max_examples=150)
+@given(json_values | map_like)
+def test_map_from_json_dict_raises_only_typed_errors(data):
+    try:
+        map_from_json_dict(data)
+    except MAP_ERRORS:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        _assert_clean_exit(_main_output(
+            ["code", "--map", path, "--x", "1/3", "--len", "5"]))
+
+
+@settings(deadline=None)
+@given(st.text() | scalar_texts)
+def test_main_reports_any_start_point_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "golden.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(golden_rotation().to_json_dict()))
+        _assert_clean_exit(_main_output(
+            ["code", "--map", path, "--x", text, "--len", "5"]))

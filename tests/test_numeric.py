@@ -6,6 +6,7 @@ member of the operand intervals must land inside the result interval.
 """
 
 import decimal
+import timeit
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from ietpc import (
     parse_scalar,
     to_ball,
 )
-from ietpc.numeric import dyadic_ceil
+from ietpc.numeric import RADICAND_BITS, _square_free, dyadic_ceil
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=400)
 radicands = st.sampled_from([2, 3, 5, 7])
@@ -103,6 +104,97 @@ def test_radicand_normalization():
     assert ExactNumber(0, 1, 4).is_rational
     assert ExactNumber(0, 1, 45) == ExactNumber(0, 3, 5)
     assert ExactNumber.sqrt(9).to_fraction() == 3
+
+
+def _trial_division_square_free(d):
+    """The former _square_free: trial division up to sqrt(d)."""
+    s = 1
+    f = 2
+    while f * f <= d:
+        ff = f * f
+        while d % ff == 0:
+            d //= ff
+            s *= f
+        f += 1
+    return s, d
+
+
+def test_square_free_matches_trial_division():
+    for d in range(100_001):
+        assert _square_free(d) == _trial_division_square_free(d), d
+
+
+def test_square_free_large_cofactors():
+    p, q = 2_147_483_647, 2_147_483_629  # primes, so p*p and p*q have 62 bits
+    assert _square_free(p * p) == (p, 1)
+    assert _square_free(2 * p * p) == (p, 2)
+    assert _square_free(p * q) == (1, p * q)
+    assert _square_free(10**12 + 39) == (1, 10**12 + 39)
+    assert _square_free(12 * 10**12) == (2 * 10**6, 3)
+
+
+def test_radicand_bound():
+    top = (1 << RADICAND_BITS) - 1
+    assert _square_free(top)[0] ** 2 * _square_free(top)[1] == top
+    for d in (1 << RADICAND_BITS, 10**30):
+        with pytest.raises(ValueError, match="exceeds"):
+            ExactNumber.sqrt(d)
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_scalar(f"(1+1*sqrt({d}))/2")
+    # a rational scalar has no radicand to bound
+    assert ExactNumber(3, 0, 10**30) == 3
+
+
+def _slots(x):
+    return x._rat, x._coef, x._d
+
+
+big_radicands = st.sampled_from([2, 5, 1000003, 10**12 + 39])
+
+
+@st.composite
+def big_radicand_pairs(draw):
+    d = draw(big_radicands)
+    a, b = (ExactNumber(draw(fracs), draw(fracs), d) for _ in range(2))
+    # cancellations: the negative, the conjugate, a rational or sqrt(d) itself
+    b = draw(st.sampled_from([b, -a, ExactNumber(a.rational_part, -a.surd_coef, d),
+                              ExactNumber(b.rational_part), ExactNumber.sqrt(d)]))
+    return draw(st.sampled_from([a, ExactNumber.sqrt(d)])), b
+
+
+@given(big_radicand_pairs())
+def test_arithmetic_results_are_normalised(pair):
+    a, b = pair
+    results = [a + b, a - b, b - a, a * b, -a, a + 1, 2 - b, a * Fraction(1, 3)]
+    if b != 0:
+        results.append(a / b)
+    if a != 0:
+        results.append(3 / a)
+    for r in results:
+        normal = ExactNumber(r.rational_part, r.surd_coef, r.radicand)
+        assert _slots(r) == _slots(normal)
+        assert type(r.rational_part) is type(r.surd_coef) is Fraction
+
+
+def test_cancellations_become_rational():
+    for d in (2, 5, 1000003, 10**12 + 39):
+        root = ExactNumber.sqrt(d)
+        x = ExactNumber(Fraction(1, 3), Fraction(-2, 7), d)
+        conj = ExactNumber(Fraction(1, 3), Fraction(2, 7), d)
+        norm = Fraction(1, 9) - Fraction(4, 49) * d
+        for r, value in ((root * root, d), (x * conj, norm), (x - x, 0),
+                         (x + conj, Fraction(2, 3))):
+            assert _slots(r) == (Fraction(value), 0, 0)
+
+
+def test_arithmetic_cost_does_not_grow_with_the_radicand():
+    def cost(d, op):
+        a = ExactNumber(Fraction(1, 3), Fraction(2, 7), d)
+        b = ExactNumber(Fraction(-5, 11), Fraction(3, 13), d)
+        return min(timeit.repeat(lambda: op(a, b), number=200, repeat=5))
+
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        assert cost(10**12 + 39, op) < 5 * cost(5, op)
 
 
 def test_sqrt_squares_back():
@@ -218,6 +310,25 @@ def test_parse_examples():
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+digits = st.text("0123456789", min_size=1, max_size=24)
+scalar_like = st.one_of(
+    st.text(),
+    st.builds("{}/{}".format, st.integers(), digits),
+    st.builds("({}{}{}*sqrt({}))/{}".format, st.integers(), st.sampled_from("+-"),
+              digits, digits, digits),
+)
+
+
+@settings(deadline=None)  # a 64-bit prime radicand takes ~0.3 s
+@given(scalar_like)
+def test_parse_scalar_raises_only_value_error(text):
+    try:
+        x = parse_scalar(text)
+    except ValueError:
+        return
+    assert parse_scalar(format_scalar(x)) == x
 
 
 def test_format_is_canonical():

@@ -1,7 +1,10 @@
 """Factor complexity, letter relabelings, and eventual-period detection."""
 
+import dataclasses
 import random
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +21,10 @@ from ietpc import (
     factors,
     fibonacci_word,
     isomorphic,
+    golden_rotation,
     morse_hedlund_flag,
 )
+from ietpc.iet import coding
 
 
 def brute_p(symbols, k):
@@ -211,6 +216,65 @@ def test_word_plumbing():
         SymbolicWord((), 1)
     with pytest.raises(ValueError):
         SymbolicWord((4,), 2)
+
+
+def test_word_letters_copies_equality_and_repr():
+    syms = (1, 2, 2, 1, 3)
+    w = SymbolicWord(syms, 3, "demo")
+    assert type(w.symbols) is tuple and w.symbols == syms
+    assert type(w[1]) is int and w[1] == 2 and w[-1] == 3
+    assert w[1:4] == (2, 2, 1) and list(w) == list(syms)
+    assert repr(w) == (
+        "SymbolicWord(symbols=(1, 2, 2, 1, 3), alphabet_size=3, provenance='demo')")
+    same = SymbolicWord(list(syms), 3, "demo")
+    assert w == same and hash(w) == hash(same) and len({w, same}) == 1
+    for other in (SymbolicWord(syms, 4, "demo"), SymbolicWord(syms, 3),
+                  SymbolicWord(syms[:-1], 3, "demo")):
+        assert w != other
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.alphabet_size = 4
+
+
+def test_large_alphabet_falls_back_to_a_tuple():
+    assert isinstance(SymbolicWord((255, 0), 255)._letters, bytes)
+    w = SymbolicWord((300, 0, 255, 300), 300)
+    assert isinstance(w._letters, tuple)
+    assert w.symbols == (300, 0, 255, 300) and w[0] == 300 and w[1:3] == (0, 255)
+    assert w.to_text() == "300,0,255,300"
+    assert w.suffix(1).symbols == (0, 255, 300)
+    assert factors(w, 2) == {(300, 0), (0, 255), (255, 300)}
+    assert complexity(w, 1, force=True).entries == ((1, 3),)
+
+
+@pytest.mark.parametrize(
+    "syms, size, message",
+    [
+        ((), 1, "empty word"),
+        ((1,), 0, "alphabet_size must be positive"),
+        ((4,), 2, "symbol 4 outside 0..2"),
+        ((1, -1, 3), 2, "symbol -1 outside 0..2"),
+        ((256,), 255, "symbol 256 outside 0..255"),
+        ((1, 301, -2), 300, "symbol 301 outside 0..300"),
+    ],
+)
+def test_word_validation_messages(syms, size, message):
+    with pytest.raises(ValueError) as info:
+        SymbolicWord(syms, size)
+    assert str(info.value) == message
+
+
+def test_coding_keeps_one_byte_per_letter():
+    T, x = golden_rotation(), Fraction(1, 3)
+    coding(T, x, 8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        word = coding(T, x, 3000)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(word) == 3000
+    assert kept < 4096
 
 
 def test_complexity_table_serialization():
