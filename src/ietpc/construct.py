@@ -711,9 +711,8 @@ def verify_semiconjugacy(
     seed_letters = iet_coding(T, gs.seed, samples + L - 1).symbols
     for k in range(1, samples + 1):
         t_letters = seed_letters[k - 1:k - 1 + L]
-        walk = ball_orbit(gs.gap_mid_ball(k), lower, upper, slopes,
-                          cpc.intercept_balls, None, L)
-        letters = [piece for piece, _ in walk]
+        letters = ball_orbit(gs.gap_mid_ball(k), lower, upper, slopes,
+                             cpc.intercept_balls, None, L)
         undecided += L - len(letters)
         for j, piece in enumerate(letters):
             if piece == t_letters[j]:

@@ -53,7 +53,7 @@ def map_from_json_dict(data: object) -> AnyMap:
             )
         signs = data["signs"]
         if not isinstance(signs, list) or any(
-            not isinstance(s, int) or s not in (-1, 1) for s in signs
+            type(s) is not int or s not in (-1, 1) for s in signs  # JSON true is no sign
         ):
             raise MapFormatError("field 'signs' must be a list of +1/-1")
         return new_iet(

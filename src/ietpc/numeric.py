@@ -450,10 +450,13 @@ def to_ball(x: Scalarish, precision_bits: int) -> Ball:
 
 # ================================================================== text
 
-_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+))?\s*$")
+# The grammar's digits and spaces are ASCII: without re.ASCII, \d and \s
+# would take other scripts' digits and spaces, which int() accepts too
+_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+))?\s*$", re.ASCII)
 _SURD_RE = re.compile(
     r"^\s*\(\s*([+-]?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)"
-    r"\s*/\s*(\d+)\s*$"
+    r"\s*/\s*(\d+)\s*$",
+    re.ASCII,
 )
 
 

@@ -20,6 +20,7 @@ from .errors import (
     DenominatorBlowup,
     ImageEscapes,
     InsufficientVisits,
+    MapFormatError,
     NotContracting,
     NotInjective,
     OutOfDomain,
@@ -31,7 +32,6 @@ from .numeric import (
     ExactNumber,
     Scalarish,
     as_exact,
-    dyadic_ceil,
     format_scalar,
     parse_scalar,
     to_ball,
@@ -193,69 +193,104 @@ def _orbit(
         return letters, False
     if precision_bits is None:
         raise DenominatorBlowup(k, bits(point), bit_budget)
-    walk = ball_orbit(
+    letters += ball_orbit(
         to_ball(point, precision_bits), bps, bps,
         [to_ball(s, precision_bits) for s in f.slopes],
         [to_ball(c, precision_bits) for c in f.intercepts],
-        max(precision_bits + 8, 16), length - k,
+        max(precision_bits + 8, 16), length - k, floats,
     )
-    for i, ball in walk:
-        if floats is not None:
-            floats.append(float(ball.center))
-        letters.append(i)
     if len(letters) < length:
         raise CodingUndecidable(len(letters))
     return letters, True
 
 
+def _exponent(*values: Fraction) -> int:
+    """The least e that puts every one of the dyadic values on the 2**-e
+    lattice."""
+    return max(q.denominator.bit_length() - 1 for q in values)
+
+
+def _lattice(q: Fraction, e: int) -> int:
+    """q * 2**e, which must be an integer."""
+    num, rem = divmod(q.numerator << e, q.denominator)
+    if rem:
+        raise ValueError(f"{q} is not a multiple of 2**-{e}")
+    return num
+
+
+def _ceil_lattice(x: Scalarish, e: int) -> int:
+    """ceil(x * 2**e), exactly: to_ball's bracket (an isqrt one for surds)
+    is at most 2**-e wide, which leaves two candidates, and one exact
+    comparison picks between them."""
+    v = as_exact(x)
+    lo = math.ceil(to_ball(v, e + 1).lo * (1 << e))
+    return lo if v <= Fraction(lo, 1 << e) else lo + 1
+
+
 def ball_orbit(
     ball: Ball, lower_edges: Sequence, upper_edges: Sequence,
     slopes: Sequence[Ball], intercepts: Sequence[Ball], grid: Optional[int],
-    length: int,
-):
-    """Yield (letter, ball) for up to length steps of a ball orbit, ending
-    early at the first ball that straddles a breakpoint.
-
-    Letters are read with ball_piece from the breakpoint enclosures
-    lower_edges, upper_edges.  A step from piece i yields a ball holding
-    s*x + c for every s in slopes[i-1], x in the ball and c in
-    intercepts[i-1].  With grid, the product's center is rounded down onto
-    the 2**-grid lattice and the radius grown to cover the rounding, which
-    keeps long orbits at bounded size; without, every step is exact.
-    """
-    for _ in range(length):
-        i = ball_piece(ball, lower_edges, upper_edges)
-        if i is None:
-            return
-        yield i, ball
-        slope, intercept = slopes[i - 1], intercepts[i - 1]
-        center = slope.center * ball.center
-        radius = (
-            abs(slope.center) * ball.radius
-            + abs(ball.center) * slope.radius
-            + slope.radius * ball.radius
-        )
-        if grid is not None:
-            c_lo = Fraction(math.floor(center * 2**grid), 2**grid)
-            radius = dyadic_ceil(radius + center - c_lo, grid)
-            center = c_lo
-        ball = Ball(center + intercept.center, radius + intercept.radius)
-
-
-def ball_piece(ball: Ball, lower_edges: Sequence, upper_edges: Sequence) -> Optional[int]:
-    """The piece that certainly contains the ball, or None.
+    length: int, floats: Optional[list] = None,
+) -> list[int]:
+    """The letters of up to length steps of a ball orbit, ending early at
+    the first ball that straddles a breakpoint.
 
     Breakpoint i is known to lie in [lower_edges[i], upper_edges[i]], and
     both edge lists are nondecreasing; exact breakpoints pass one list as
-    both.  Piece i certainly holds the ball when upper_edges[i-1] <= ball.lo
-    and ball.hi < lower_edges[i].  Piece 1's floor is exactly 0: points
-    below 0 do not exist, so only its upper edge matters.
+    both.  A ball lies in piece i when upper_edges[i-1] <= its lower end
+    and its upper end < lower_edges[i]; piece 1's floor is exactly 0, so
+    only its upper edge matters.  A step from piece i gives a ball holding
+    s*x + c for every s in slopes[i-1], x in the ball and c in
+    intercepts[i-1].  floats, when given, receives the centre of every
+    ball stepped from, correctly rounded.
+
+    The orbit runs on integers over 2**E.  With grid, E is grid: every
+    input ball must lie on the 2**-grid lattice (edges may be any exact
+    scalars and enter as ceil(edge * 2**grid)), and each product's centre
+    is rounded down onto the lattice with the radius grown to cover it,
+    which keeps long orbits at bounded size.  Without, every step is exact:
+    balls and edges must be dyadic Fractions, and E grows by k at each
+    slope over 2**k.
     """
-    lo, hi = ball.lo, ball.hi
-    i = bisect_right(lower_edges, hi, 1)  # first piece whose top clears the ball
-    if i < len(lower_edges) and (i == 1 or upper_edges[i - 1] <= lo):
-        return i
-    return None
+    balls = [ball, *intercepts]
+    if grid is None:
+        e = _exponent(*lower_edges, *upper_edges,
+                      *(v for b in balls for v in (b.center, b.radius)))
+        edge = _lattice
+        slope_exps = [_exponent(s.center, s.radius) for s in slopes]
+    else:
+        e, edge = grid, _ceil_lattice
+        slope_exps = [grid] * len(slopes)
+    lower = [edge(v, e) for v in lower_edges]
+    upper = [edge(v, e) for v in upper_edges]
+    steps = [(_lattice(s.center, k), _lattice(s.radius, k), k)
+             for s, k in zip(slopes, slope_exps)]
+    (c, r), *ics = [(_lattice(b.center, e), _lattice(b.radius, e)) for b in balls]
+    top = len(lower)
+    shift = 0  # the orbit's exponent E is e + shift
+    letters: list[int] = []
+    for _ in range(length):
+        hi = (c + r) >> shift
+        i = bisect_right(lower, hi, 1)
+        if i == top or (i > 1 and upper[i - 1] > (c - r) >> shift):
+            break
+        letters.append(i)
+        if floats is not None:
+            floats.append(c / (1 << (e + shift)))
+        sc, sr, k = steps[i - 1]
+        ic, ir = ics[i - 1]
+        p = sc * c
+        r = abs(sc) * r + abs(c) * sr + sr * r
+        if grid is None:
+            shift += k
+            c = p + (ic << shift)
+            r += ir << shift
+        else:
+            # floor the centre; the radius covers the remainder, rounded up
+            c = p >> k
+            r = -(((c << k) - p - r) >> k) + ir
+            c += ic
+    return letters
 
 
 # ------------------------------------------------------- periodic certificates
@@ -490,18 +525,28 @@ class PeriodicCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PeriodicCertificate":
+        """The certificate to_json_dict wrote; MapFormatError when q, p or a
+        letter is not a JSON integer, or an endpoint flag not a JSON boolean
+        (JSON true is not the integer 1, nor 1 the flag true)."""
         cyl = data["cylinder"]
+        q, p, pre, per = data["q"], data["p"], data["preperiod"], data["period"]
+        if not (isinstance(pre, list) and isinstance(per, list)) or any(
+            type(v) is not int for v in (q, p, *pre, *per)
+        ):
+            raise MapFormatError("q, p, preperiod and period must hold integers")
+        if any(type(cyl[k]) is not bool for k in ("lo_closed", "hi_closed")):
+            raise MapFormatError("cylinder flags must be booleans")
         return cls(
             start=parse_scalar(data["start"]),
-            q=int(data["q"]),
-            p=int(data["p"]),
-            preperiod=tuple(int(v) for v in data["preperiod"]),
-            period=tuple(int(v) for v in data["period"]),
+            q=q,
+            p=p,
+            preperiod=tuple(pre),
+            period=tuple(per),
             cylinder=Interval(
                 parse_scalar(cyl["lo"]),
                 parse_scalar(cyl["hi"]),
-                bool(cyl["lo_closed"]),
-                bool(cyl["hi_closed"]),
+                cyl["lo_closed"],
+                cyl["hi_closed"],
             ),
             cycle_slope=parse_scalar(data["cycle_slope"]),
             cycle_intercept=parse_scalar(data["cycle_intercept"]),

@@ -8,10 +8,11 @@ from ietpc import new_pc
 
 
 @st.composite
-def slope_maps(draw, q=2, min_pieces=1, max_pieces=4):
-    """Random injective rational maps with slopes +-1/q and a start point."""
+def slope_maps(draw, q=2, min_pieces=1, max_pieces=4, dens=(12, 30, 35, 64)):
+    """Random injective rational maps with slopes +-1/q, breakpoints over
+    one of dens, and a start point."""
     n = draw(st.integers(min_pieces, max_pieces))
-    den = draw(st.sampled_from([12, 30, 35, 64]))
+    den = draw(st.sampled_from(dens))
     cuts = draw(st.lists(st.integers(1, den - 1), min_size=n - 1, max_size=n - 1,
                          unique=True))
     bps = [Fraction(0)] + sorted(Fraction(c, den) for c in cuts) + [Fraction(1)]

@@ -384,6 +384,30 @@ def test_main_input_errors_exit_1_with_json(maps, capsys, argv):
                                             x="-1/3", length=5))
 
 
+@pytest.mark.parametrize("data", [
+    # JSON true is not the sign +1
+    {"type": "iet", "breakpoints": ["0/1", "1/2", "1/1"], "signs": [True, True],
+     "translations": ["1/2", "-1/2"]},
+    # Arabic-Indic digits are not the grammar's
+    {"type": "iet", "breakpoints": ["0/1", "\u0661/\u0662", "1/1"], "signs": [1, 1],
+     "translations": ["1/2", "-1/2"]},
+    # nor is a no-break space
+    {"type": "pc", "breakpoints": ["0/1", "1/1"], "slopes": ["1/2"],
+     "intercepts": ["1/\u00a04"]},
+])
+def test_maps_outside_the_grammar_exit_1(tmp_path, capsys, data):
+    with pytest.raises(MapFormatError):
+        map_from_json_dict(data)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = call_main(["code", "--map", str(path), "--x", "1/3", "--len", "5"],
+                       capsys)
+    assert result.exit_code == 1 and result.out == ""
+    lines = result.err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "detail"}
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this ietpc package."""
     src = os.path.dirname(os.path.dirname(ietpc.__file__))

@@ -45,6 +45,7 @@ from ietpc.errors import DenominatorBlowup, IetpcError
 from ietpc.mapio import canonical_json
 from ietpc.numeric import ExactNumber, as_exact, to_ball
 from ietpc.pc import PeriodicCertificate
+from ball_reference import ball_orbit as oracle_ball_orbit
 from strategies import dyadic_maps, half_slope_maps
 
 ALPHA = ExactNumber(Fraction(3, 2), Fraction(-1, 2), 5)
@@ -184,7 +185,7 @@ def test_sidecar_payload(cpc64):
     assert parse_scalar(data["error_bound"]) > 0
 
 
-def test_flip_construction_has_negative_slopes():
+def flipped_exchange():
     one = ExactNumber(1)
     lengths = [ALPHA, ALPHA * ALPHA, one - ALPHA - ALPHA * ALPHA]
     bps = [ExactNumber(0)]
@@ -198,7 +199,11 @@ def test_flip_construction_has_negative_slopes():
         starts[piece] = pos
         pos = pos + lengths[piece - 1]
     trs = [starts[1] + bps[1], starts[2] - bps[1], starts[3] + bps[3]]
-    T = new_iet(bps, (-1, 1, -1), trs)
+    return new_iet(bps, (-1, 1, -1), trs)
+
+
+def test_flip_construction_has_negative_slopes():
+    T = flipped_exchange()
     cpf = build_pc_from_iet(T, N=32)
     assert tuple(float(s) for s in cpf.pc.slopes) == (-0.5, 0.5, -0.5)
     assert tuple(p.sign for p in cpf.provenance) == (-1, 1, -1)
@@ -282,6 +287,32 @@ def test_verify_detects_corrupted_intercepts(cpc64, golden):
     assert report.first_disagreement is not None
     sample, position = report.first_disagreement
     assert position <= 20  # a 2^-10 shift cannot hide for long
+
+
+@pytest.fixture(scope="module")
+def constructions(golden):
+    return [build_pc_from_iet(T, N=32) for T in (golden, flipped_exchange())]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 1), st.integers(1, 32), st.integers(0, 48), st.integers(1, 80))
+def test_exact_ball_orbit_matches_the_fraction_oracle(constructions, which, k,
+                                                      widen, length):
+    """verify_semiconjugacy's exact kernel gives the Fraction loop's letters
+    and centres on gap-midpoint balls, widened by 2**-widen to move the
+    first straddle forward (0 keeps the ball)."""
+    cpc = constructions[which]
+    ball = cpc.gaps.gap_mid_ball(k)
+    if widen:
+        ball = Ball(ball.center, ball.radius + Fraction(1, 2**widen))
+    args = (ball, [b.lo for b in cpc.breakpoint_balls],
+            [b.hi for b in cpc.breakpoint_balls],
+            [Ball.point(s.to_fraction()) for s in cpc.pc.slopes],
+            cpc.intercept_balls, None)
+    walk = list(oracle_ball_orbit(*args, length))
+    floats = []
+    assert pc.ball_orbit(*args, length, floats) == [i for i, _ in walk]
+    assert floats == [float(b.center) for _, b in walk]
 
 
 def test_verify_argument_validation(cpc64, golden):

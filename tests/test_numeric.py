@@ -305,6 +305,14 @@ def test_parse_examples():
         "",
         "(4-(1+1*sqrt(5))/2)/1",  # nested expressions are not scalars
         "one third",
+        # the grammar is ASCII: other scripts' digits and spaces are refused
+        "\u0661/\u0663",
+        "1/\u0663",
+        "(3-1*sqrt(\u0665))/2",
+        "\uff11/3",
+        "1\u00a0/3",
+        "\u20031/3",
+        "(3-1*sqrt(5))/2\u3000",
     ],
 )
 def test_parse_rejects(bad):

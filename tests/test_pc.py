@@ -32,9 +32,10 @@ from ietpc import (
     new_pc,
     pc_coding,
 )
-from ietpc.numeric import as_exact
-from ietpc.pc import _orbit, ball_piece
-from strategies import half_slope_maps, slope_maps
+from ietpc.numeric import as_exact, to_ball
+from ietpc.pc import _ceil_lattice, _orbit, ball_orbit
+from ball_reference import ball_orbit as oracle_ball_orbit, ball_piece
+from strategies import dyadic_maps, half_slope_maps, slope_maps
 
 HALF = Fraction(1, 2)
 
@@ -137,10 +138,16 @@ def test_ball_piece_matches_linear_scan():
         upper = [lower[0]]
         for lo in lower[1:]:
             upper.append(max(upper[-1], lo + rng.randint(0, 3) * grid))
+        slopes, intercepts = [Ball.point(HALF)] * n, [Ball.point(0)] * n
         for _ in range(20):
             a, b = sorted(rng.randint(-4, 68) * grid for _ in range(2))
             ball = Ball.from_endpoints(a, b)
-            assert ball_piece(ball, lower, upper) == _ball_piece_scan(ball, lower, upper)
+            piece = _ball_piece_scan(ball, lower, upper)
+            assert ball_piece(ball, lower, upper) == piece
+            # the kernel's first letter, on the 2**-7 grid and exactly
+            for mode in (7, None):
+                first = ball_orbit(ball, lower, upper, slopes, intercepts, mode, 1)
+                assert first == ([] if piece is None else [piece])
     # exact breakpoints: both edge lists are the breakpoints themselves
     f = two_piece()
     assert ball_piece(Ball.point(Fraction(1, 4)), f.breakpoints, f.breakpoints) == 1
@@ -314,6 +321,30 @@ def test_certificate_serialization_round_trip():
     assert check_certificate(two_piece(), back)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("q", True),
+    ("p", 2.0),
+    ("p", "2"),
+    ("period", [1, True]),
+    ("period", "12"),
+    ("preperiod", [1.0]),
+    ("lo_closed", 1),
+    ("hi_closed", 0),
+])
+def test_certificate_json_types_are_strict(field, value):
+    """Integers must be JSON integers and flags JSON booleans: JSON true is
+    not the integer 1, nor 0 the flag false."""
+    from ietpc import MapFormatError
+
+    data = certify_periodic(two_piece(), 0).to_json_dict()
+    if field.endswith("_closed"):
+        data["cylinder"][field] = value
+    else:
+        data[field] = value
+    with pytest.raises(MapFormatError):
+        PeriodicCertificate.from_json_dict(data)
+
+
 def test_certify_honors_budget():
     # far too small to detect anything
     assert certify_periodic(slow_denominators(), Fraction(1, 7), budget=1) is None
@@ -369,6 +400,78 @@ def test_empirical_factor_needs_no_numpy(monkeypatch, grid_size, digest):
     assert fac.approximate
     assert len(fac.h_grid) == grid_size + 1
     assert hashlib.sha256(repr(fac.h_grid).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("grid", [11, None])
+def test_ball_orbit_edge_ties(grid):
+    # breakpoint 1 is known to lie in [3/8, 1/2]: a ball whose lower end is
+    # the upper edge lies in piece 2, one whose upper end is the lower edge
+    # straddles the breakpoint
+    lower = [Fraction(0), Fraction(3, 8), Fraction(1)]
+    upper = [Fraction(0), HALF, Fraction(1)]
+    maps = ([Ball.point(HALF)] * 2, [Ball.point(0)] * 2)
+    cases = [
+        (Ball.from_endpoints(HALF, Fraction(5, 8)), [2]),
+        (Ball.from_endpoints(Fraction(1, 4), Fraction(3, 8)), []),
+        (Ball.from_endpoints(Fraction(1, 4), Fraction(3, 8) - Fraction(1, 2**10)), [1]),
+        (Ball.from_endpoints(Fraction(7, 16), HALF), []),
+    ]
+    for ball, letters in cases:
+        assert ball_orbit(ball, lower, upper, *maps, grid, 1) == letters
+        walk = oracle_ball_orbit(ball, lower, upper, *maps, grid, 1)
+        assert [i for i, _ in walk] == letters
+
+
+def test_ball_orbit_refuses_balls_off_its_lattice():
+    edges = [Fraction(0), HALF, Fraction(1)]
+    maps = ([Ball.point(HALF)] * 2, [Ball.point(0)] * 2)
+    with pytest.raises(ValueError):
+        ball_orbit(Ball.point(Fraction(1, 2**12)), edges, edges, *maps, 10, 1)
+    # exact mode needs dyadic edges: a floor would misplace a ball near 1/3
+    thirds = [Fraction(0), Fraction(1, 3), Fraction(1)]
+    with pytest.raises(ValueError):
+        ball_orbit(Ball.point(Fraction(1, 4)), thirds, thirds, *maps, None, 1)
+
+
+def test_ceil_lattice_is_exact():
+    a = (3 - ExactNumber.sqrt(5)) / 2
+    values = [a, -a, a / 7, ExactNumber.sqrt(2) / 3, ExactNumber(Fraction(1, 3)),
+              ExactNumber(Fraction(-5, 8)), ExactNumber(Fraction(3, 8))]
+    for v in values:
+        for e in range(0, 200, 7):
+            c = _ceil_lattice(v, e)
+            assert as_exact(Fraction(c - 1, 2**e)) < v <= as_exact(Fraction(c, 2**e))
+
+
+def surd_maps():
+    return st.builds(lambda k: (surd_contraction(), Fraction(k, 105)),
+                     st.integers(0, 104))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dyadic_maps(), half_slope_maps(), slope_maps(3),
+                 slope_maps(2, dens=(60,)), surd_maps()),
+       st.sampled_from([2, 4, 8, 16, 40, 192]))
+def test_grid_ball_orbit_matches_the_fraction_oracle(case, precision_bits):
+    """The scaled-integer kernel gives the Fraction loop's letters, stops at
+    its first straddle, and its floats are the ball centres bit for bit,
+    both called directly and as _orbit's ball tail (bit_budget 0)."""
+    f, x = case
+    P, length = precision_bits, 120
+    args = (to_ball(x, P), f.breakpoints, f.breakpoints,
+            [to_ball(s, P) for s in f.slopes], [to_ball(c, P) for c in f.intercepts],
+            max(P + 8, 16))
+    walk = list(oracle_ball_orbit(*args, length))
+    letters, centres = [i for i, _ in walk], [float(b.center) for _, b in walk]
+    floats = []
+    assert ball_orbit(*args, length, floats) == letters
+    assert floats == centres
+    floats = []
+    try:
+        assert _orbit(f, x, length, 0, P, floats) == (letters, True)
+    except CodingUndecidable as exc:
+        assert exc.step == len(letters) < length
+    assert floats == centres
 
 
 def test_orbit_stats_ball_tail_raises_on_straddle():
