@@ -92,7 +92,7 @@ class RunConfig:
         return cls(**data)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class DispatchResult:
     exit_code: int
     out: str

@@ -210,7 +210,7 @@ def idoc_check(T: Iet, depth: int) -> IdocCertificate:
     return IdocCertificate(depth, "passed_to_depth")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefinementComplexity:
     table: ComplexityTable
     m_values: tuple[int, ...]

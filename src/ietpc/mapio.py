@@ -16,7 +16,7 @@ from typing import Union
 
 from .errors import MapFormatError
 from .iet import Iet, new_iet
-from .numeric import parse_scalar
+from .numeric import ExactNumber, parse_scalar
 from .pc import PiecewiseContraction, new_pc
 
 AnyMap = Union[Iet, PiecewiseContraction]
@@ -25,21 +25,23 @@ _IET_KEYS = {"type", "breakpoints", "signs", "translations"}
 _PC_KEYS = {"type", "breakpoints", "slopes", "intercepts"}
 
 
+def _scalar(value: object, key: str) -> ExactNumber:
+    """value, an element of field key, parsed as an exact scalar string."""
+    if not isinstance(value, str):
+        raise MapFormatError(
+            f"field {key!r} must hold exact scalar strings, got {value!r}"
+        )
+    try:
+        return parse_scalar(value)
+    except ValueError as exc:
+        raise MapFormatError(f"bad scalar in {key!r}: {exc}") from exc
+
+
 def _scalar_list(data: dict, key: str) -> list:
     values = data.get(key)
     if not isinstance(values, list) or not values:
         raise MapFormatError(f"field {key!r} must be a nonempty list")
-    out = []
-    for v in values:
-        if not isinstance(v, str):
-            raise MapFormatError(
-                f"field {key!r} must hold exact scalar strings, got {v!r}"
-            )
-        try:
-            out.append(parse_scalar(v))
-        except ValueError as exc:
-            raise MapFormatError(f"bad scalar in {key!r}: {exc}") from exc
-    return out
+    return [_scalar(v, key) for v in values]
 
 
 def map_from_json_dict(data: object) -> AnyMap:

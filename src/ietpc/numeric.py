@@ -62,6 +62,22 @@ def _square_free(d: int) -> tuple[int, int]:
     return s, core * d
 
 
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for integers a and b, d square-free and >= 2
+    whenever b != 0.
+
+    When a and b do not have opposite signs the answer is the sign of the
+    nonzero one; otherwise |a| against |b|*sqrt(d) decides, which is a*a
+    against b*b*d, never equal because sqrt(d) is irrational.
+    """
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a * sb >= 0:
+        return sb
+    return sb if a * a < b * b * d else -sb
+
+
 class ExactNumber:
     """A number of the form rat + coef*sqrt(d) with rat, coef rational.
 
@@ -84,9 +100,10 @@ class ExactNumber:
             if d <= 1:
                 # sqrt(0) or sqrt(1): the "surd" part is rational after all.
                 rat += coef * d
-                coef = Fraction(0)
+                coef = _ZERO
                 d = 0
         else:
+            coef = _ZERO
             d = 0
         self._rat = rat
         self._coef = coef
@@ -96,11 +113,13 @@ class ExactNumber:
     def _make(cls, rat: Fraction, coef: Fraction, d: int) -> "ExactNumber":
         """Trusted constructor for results of arithmetic: rat and coef are
         Fractions and d is already square-free; only coef == 0 => d == 0 is
-        normalised."""
+        normalised.  Every rational shares one zero coefficient."""
         x = object.__new__(cls)
         x._rat = rat
-        x._coef = coef
-        x._d = d if coef else 0
+        if coef:
+            x._coef, x._d = coef, d
+        else:
+            x._coef, x._d = _ZERO, 0
         return x
 
     # ------------------------------------------------------------ accessors
@@ -221,27 +240,32 @@ class ExactNumber:
     # ------------------------------------------------------------ comparison
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}, by case analysis and integer squaring."""
-        a, b, d = self._rat, self._coef, self._d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: the sign is decided by a^2 versus b^2 d.
-        t = a * a - b * b * d
-        if a > 0:
-            return 1 if t > 0 else -1 if t < 0 else 0
-        return -1 if t > 0 else 1 if t < 0 else 0
+        """Exact sign in {-1, 0, 1}, decided on integers."""
+        a, b = self._rat, self._coef
+        return _sign(a.numerator * b.denominator,
+                     b.numerator * a.denominator, self._d)
 
     def _cmp(self, other: Scalarish) -> int:
+        """Sign of self - other, decided on integers without building it.
+
+        With self = p1/q1 + (r1/s1)*sqrt(d) and other = p2/q2 + (r2/s2)*sqrt(d),
+        self - other = (A + B*sqrt(d)) / (q1*q2*s1*s2) where
+        A = (p1*q2 - p2*q1)*s1*s2 and B = (r1*s2 - r2*s1)*q1*q2.
+        """
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare ExactNumber with {type(other)!r}")
-        return (self - o).sign()
+        a1, a2, d = self._rat, o._rat, self._join_d(o)
+        p1, q1 = a1.numerator, a1.denominator
+        p2, q2 = a2.numerator, a2.denominator
+        if not d:
+            t = p1 * q2 - p2 * q1
+            return (t > 0) - (t < 0)
+        b1, b2 = self._coef, o._coef
+        r1, s1 = b1.numerator, b1.denominator
+        r2, s2 = b2.numerator, b2.denominator
+        return _sign((p1 * q2 - p2 * q1) * s1 * s2,
+                     (r1 * s2 - r2 * s1) * q1 * q2, d)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)  # type: ignore[arg-type]

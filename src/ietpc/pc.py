@@ -524,11 +524,23 @@ class PeriodicCertificate:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "PeriodicCertificate":
-        """The certificate to_json_dict wrote; MapFormatError when q, p or a
-        letter is not a JSON integer, or an endpoint flag not a JSON boolean
-        (JSON true is not the integer 1, nor 1 the flag true)."""
+    def from_json_dict(cls, data: object) -> "PeriodicCertificate":
+        """The certificate to_json_dict wrote.  MapFormatError unless data has
+        exactly its fields and tag, the cylinder exactly its four, scalars
+        are exact scalar strings, q, p and the letters JSON integers and the
+        endpoint flags JSON booleans (JSON true is not the integer 1, nor 1
+        the flag true)."""
+        from .mapio import _scalar
+
+        if not isinstance(data, dict) or set(data) != _CERT_KEYS:
+            raise MapFormatError(
+                f"a certificate must have exactly the fields {sorted(_CERT_KEYS)}")
+        if data["type"] != "periodic-certificate":
+            raise MapFormatError(f"unknown certificate type {data['type']!r}")
         cyl = data["cylinder"]
+        if not isinstance(cyl, dict) or set(cyl) != _CYLINDER_KEYS:
+            raise MapFormatError(
+                f"the cylinder must have exactly the fields {sorted(_CYLINDER_KEYS)}")
         q, p, pre, per = data["q"], data["p"], data["preperiod"], data["period"]
         if not (isinstance(pre, list) and isinstance(per, list)) or any(
             type(v) is not int for v in (q, p, *pre, *per)
@@ -537,21 +549,26 @@ class PeriodicCertificate:
         if any(type(cyl[k]) is not bool for k in ("lo_closed", "hi_closed")):
             raise MapFormatError("cylinder flags must be booleans")
         return cls(
-            start=parse_scalar(data["start"]),
+            start=_scalar(data["start"], "start"),
             q=q,
             p=p,
             preperiod=tuple(pre),
             period=tuple(per),
             cylinder=Interval(
-                parse_scalar(cyl["lo"]),
-                parse_scalar(cyl["hi"]),
+                _scalar(cyl["lo"], "lo"),
+                _scalar(cyl["hi"], "hi"),
                 cyl["lo_closed"],
                 cyl["hi_closed"],
             ),
-            cycle_slope=parse_scalar(data["cycle_slope"]),
-            cycle_intercept=parse_scalar(data["cycle_intercept"]),
-            fixed_point=parse_scalar(data["fixed_point"]),
+            cycle_slope=_scalar(data["cycle_slope"], "cycle_slope"),
+            cycle_intercept=_scalar(data["cycle_intercept"], "cycle_intercept"),
+            fixed_point=_scalar(data["fixed_point"], "fixed_point"),
         )
+
+
+_CERT_KEYS = {"type", "start", "q", "p", "preperiod", "period", "cylinder",
+              "cycle_slope", "cycle_intercept", "fixed_point"}
+_CYLINDER_KEYS = {"lo", "hi", "lo_closed", "hi_closed"}
 
 
 def _float_orbit(f: PiecewiseContraction, x0: float, length: int):

@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .errors import KTooLarge, LengthMismatch, PrefixTooShort
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class SymbolicWord:
     """An immutable word over a small integer alphabet.
 
@@ -99,24 +99,53 @@ class SymbolicWord:
         return SymbolicWord(symbols, alphabet_size, provenance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class ComplexityTable:
-    """Pairs (k, p(k)) plus an optional exact affine tail p(k) = alpha*k + beta."""
+    """Pairs (k, p(k)) for k = 1..k_max plus an optional exact affine tail
+    p(k) = alpha*k + beta.
 
-    entries: tuple[tuple[int, int], ...]
-    alpha: Optional[int] = None
-    beta: Optional[int] = None
-    k0: Optional[int] = None
+    The values p(1..k_max) are stored one byte each when every one is at
+    most 255, and as a tuple otherwise; ``entries`` builds the pairs.
+    """
+
+    _values: Union[bytes, tuple[int, ...]]
+    alpha: Optional[int]
+    beta: Optional[int]
+    k0: Optional[int]
+
+    def __init__(self, entries: Sequence[tuple[int, int]],
+                 alpha: Optional[int] = None, beta: Optional[int] = None,
+                 k0: Optional[int] = None):
+        if not entries or any(k != i for i, (k, _) in enumerate(entries, 1)):
+            raise ValueError("table entries must be (k, p(k)) for k = 1..n")
+        values = tuple(p for _, p in entries)
+        if 0 <= min(values) and max(values) <= 255:
+            values = bytes(values)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "k0", k0)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (k, p(k)) as a new tuple."""
+        return tuple(zip(range(1, len(self._values) + 1), self._values))
+
+    def __repr__(self) -> str:
+        return (f"ComplexityTable(entries={self.entries!r}, "
+                f"alpha={self.alpha!r}, beta={self.beta!r}, k0={self.k0!r})")
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.alpha, self.beta, self.k0))
 
     def p(self, k: int) -> int:
-        for kk, pk in self.entries:
-            if kk == k:
-                return pk
+        if k in range(1, len(self._values) + 1):
+            return self._values[int(k) - 1]
         raise KeyError(f"k={k} not tabulated")
 
     @property
     def k_max(self) -> int:
-        return self.entries[-1][0]
+        return len(self._values)
 
     def to_csv_text(self) -> str:
         lines = ["k,p"]

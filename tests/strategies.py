@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from ietpc import new_pc
+from ietpc import ExactNumber, from_lengths_and_permutation, new_pc
 
 
 @st.composite
@@ -78,3 +78,26 @@ def dyadic_maps(draw, min_pieces=1, max_pieces=4):
     den = draw(st.sampled_from([64, 105]))
     x = Fraction(draw(st.integers(0, den - 1)), den)
     return f, x
+
+
+def _frac_part(x):
+    """x minus its floor, the floor found by exact comparison."""
+    m = int(float(x)) - 1
+    while x >= m + 1:
+        m += 1
+    return x - m
+
+
+@st.composite
+def exchanges(draw, max_pieces=5):
+    """Standard exchanges whose breakpoints are the fractional parts of
+    k*seed for a rational or surd seed, in a random permutation."""
+    d = draw(st.sampled_from([0, 2, 5, 1000003]))
+    seed = ExactNumber(Fraction(draw(st.integers(1, 999)), 1000),
+                       Fraction(draw(st.integers(-99, 99)), 100) if d else 0, d)
+    n = draw(st.integers(2, max_pieces))
+    cuts = sorted({_frac_part(k * seed) for k in range(1, n)} - {0})
+    ends = [ExactNumber(0), *cuts, ExactNumber(1)]
+    lengths = [b - a for a, b in zip(ends, ends[1:])]
+    perm = draw(st.permutations(range(1, len(lengths) + 1)))
+    return from_lengths_and_permutation(lengths, perm)

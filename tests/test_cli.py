@@ -26,6 +26,8 @@ from ietpc import (
     NotBijective,
     NotContracting,
     NotInjective,
+    PeriodicCertificate,
+    certify_periodic,
     golden_rotation,
     load_map,
     new_pc,
@@ -33,6 +35,8 @@ from ietpc import (
 )
 from ietpc.cli import DispatchResult, RunConfig, dispatch, main
 from ietpc.mapio import canonical_json, map_from_json_dict
+
+from strategies import exchanges, slope_maps
 
 GOLDEN_X = "(3-1*sqrt(5))/2"
 
@@ -510,3 +514,29 @@ def test_main_reports_any_start_point_cleanly(text):
             fh.write(canonical_json(golden_rotation().to_json_dict()))
         _assert_clean_exit(_main_output(
             ["code", "--map", path, "--x", text, "--len", "5"]))
+
+
+# --------------------------------------------------------------- round trips
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(slope_maps(max_pieces=4), slope_maps(3), exchanges()))
+def test_maps_round_trip_through_canonical_json(m):
+    """A loaded map re-serialises to the bytes it came from."""
+    f = m[0] if isinstance(m, tuple) else m
+    text = canonical_json(f.to_json_dict())
+    back = map_from_json_dict(json.loads(text))
+    assert back == f
+    assert canonical_json(back.to_json_dict()) == text
+
+
+@settings(deadline=None, max_examples=40)
+@given(slope_maps(max_pieces=3))
+def test_certificates_round_trip_through_canonical_json(fx):
+    cert = certify_periodic(*fx)
+    if cert is None:
+        return
+    text = canonical_json(cert.to_json_dict())
+    back = PeriodicCertificate.from_json_dict(json.loads(text))
+    assert back == cert
+    assert canonical_json(back.to_json_dict()) == text

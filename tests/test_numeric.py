@@ -9,6 +9,7 @@ import decimal
 import timeit
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from ietpc import (
     to_ball,
 )
 from ietpc.numeric import RADICAND_BITS, _square_free, dyadic_ceil
+
+from cmp_reference import fraction_sign, subtraction_cmp
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=400)
 radicands = st.sampled_from([2, 3, 5, 7])
@@ -248,6 +251,103 @@ def test_sign_and_abs(a):
     assert (s == 0) == (a == 0)
     assert abs(a) == (a if s >= 0 else -a)
     assert abs(a) >= 0
+
+
+# ------------------------------------------ comparison against the oracle
+
+ORACLE_RADICANDS = [2, 5, 1000003, 10**12 + 39]
+# Pell solutions p^2 - d*y^2 = +-1: p - y*sqrt(d) is within 1/(2p) of 0
+PELL = {2: [(3, 2), (17, 12), (99, 70), (577, 408), (665857, 470832)],
+        5: [(2, 1), (9, 4), (161, 72), (2889, 1292)]}
+wide_fracs = st.fractions(max_denominator=10**9).filter(lambda f: abs(f) < 10**9)
+
+
+@st.composite
+def comparable_pairs(draw):
+    """Two scalars over at most one radicand: rationals, surds, equal
+    values, rational against surd, and near-cancellations where a*a and
+    b*b*d differ by a little."""
+    d = draw(st.sampled_from([0] + ORACLE_RADICANDS))
+    shape = draw(st.sampled_from(["free", "equal", "near", "pell"]))
+
+    def rat():
+        return draw(st.one_of(fracs, wide_fracs))
+
+    if shape == "pell" and d in PELL:
+        p, y = draw(st.sampled_from(PELL[d]))
+        scale = draw(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6))
+        a = ExactNumber(p * scale, -y * scale, d)
+        b = ExactNumber(draw(st.sampled_from([0, p * scale])),
+                        draw(st.sampled_from([0, y * scale, -y * scale])), d)
+    elif shape == "near" and d:
+        y = draw(st.integers(1, 10**12))
+        p = isqrt(d * y * y) + draw(st.integers(-1, 1))
+        q = draw(st.integers(1, 10**6))
+        shift = rat()
+        a = ExactNumber(Fraction(p, q) + shift, 0, 0)
+        b = ExactNumber(shift, Fraction(y, q) * draw(st.sampled_from([1, -1])), d)
+    else:
+        a = ExactNumber(rat(), rat() if d and draw(st.booleans()) else 0, d)
+        if shape == "equal":
+            b = ExactNumber(a.rational_part, a.surd_coef, a.radicand)
+        else:
+            b = ExactNumber(rat(), rat() if d and draw(st.booleans()) else 0, d)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=400)
+@given(comparable_pairs())
+def test_comparisons_agree_with_the_subtraction_oracle(pair):
+    a, b = pair
+    want = subtraction_cmp(a, b)
+    assert a._cmp(b) == want
+    assert compare(a, b) == want
+    assert (a < b) == (want < 0)
+    assert (a <= b) == (want <= 0)
+    assert (a > b) == (want > 0)
+    assert (a >= b) == (want >= 0)
+    assert (a == b) == (want == 0)
+    for x in (a, b, a - b):
+        assert x.sign() == fraction_sign(x)
+        assert abs(x) == (x if fraction_sign(x) >= 0 else -x)
+
+
+@given(exact_numbers(), st.one_of(st.integers(-60, 60), fracs))
+def test_comparisons_with_plain_rationals(a, r):
+    want = subtraction_cmp(a, r)
+    assert a._cmp(r) == compare(a, r) == -compare(r, a) == want
+    assert (a < r) == (r > a) == (want < 0)
+    assert (a >= r) == (r <= a) == (want >= 0)
+
+
+def test_pell_near_cancellations():
+    # 577^2 - 2*408^2 = 1: 577 - 408*sqrt(2) is positive and about 8.7e-4
+    x = ExactNumber(577, -408, 2)
+    assert x.sign() == 1 and (-x).sign() == -1
+    assert ExactNumber(577) > ExactNumber(0, 408, 2)
+    assert compare(ExactNumber(0, 408, 2), 577) == -1
+    # 2889^2 - 5*1292^2 = 1 and 161^2 - 5*72^2 = 1
+    assert ExactNumber(-2889, 1292, 5).sign() == -1
+    assert compare(ExactNumber(Fraction(161, 7)), ExactNumber(0, Fraction(72, 7), 5)) == 1
+    assert ExactNumber(Fraction(1, 3), 0, 0).sign() == 1
+
+
+@pytest.mark.parametrize("a, b", [
+    (ExactNumber.sqrt(2), ExactNumber.sqrt(3)),
+    (ExactNumber(1, 1, 2), ExactNumber(1, 1, 3)),
+    (ExactNumber(5, 1, 2), ExactNumber(-7, 1, 3)),
+    (ExactNumber(Fraction(1, 2), -3, 2), ExactNumber(100, 2, 3)),
+])
+def test_comparing_mixed_radicands_raises(a, b):
+    with pytest.raises(IncompatibleRadicands):
+        subtraction_cmp(a, b)
+    for op in (lambda: a._cmp(b), lambda: compare(b, a), lambda: a < b,
+               lambda: a <= b, lambda: b > a, lambda: b >= a):
+        with pytest.raises(IncompatibleRadicands):
+            op()
+    # a rational compares with either radicand
+    for x in (a, b):
+        assert compare(x, x.rational_part) == subtraction_cmp(x, x.rational_part)
 
 
 @given(exact_pairs())

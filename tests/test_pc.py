@@ -345,6 +345,39 @@ def test_certificate_json_types_are_strict(field, value):
         PeriodicCertificate.from_json_dict(data)
 
 
+def _without(data, key):
+    del data[key]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: _without(d, "start"),                  # a missing field
+    lambda d: d.update(start=5),                     # a scalar that is no string
+    lambda d: d.update(fixed_point="1/0"),           # text outside the grammar
+    lambda d: d.update(cylinder=[]),                 # a cylinder that is no object
+    lambda d: _without(d["cylinder"], "hi"),         # a cylinder field missing
+    lambda d: d["cylinder"].update(width="1/2"),     # an unknown cylinder field
+    lambda d: d["cylinder"].update(lo=0),            # a cylinder end that is no string
+    lambda d: d.update(type="x"),                    # a wrong tag
+    lambda d: d.update(note="hi"),                   # an unknown field
+])
+def test_certificate_json_shape_is_strict(mutate):
+    """Every certificate file outside the emitted shape is a MapFormatError."""
+    from ietpc import MapFormatError
+
+    data = certify_periodic(two_piece(), 0).to_json_dict()
+    mutate(data)
+    with pytest.raises(MapFormatError):
+        PeriodicCertificate.from_json_dict(data)
+
+
+@pytest.mark.parametrize("data", [None, [], "periodic-certificate"])
+def test_certificate_json_must_be_an_object(data):
+    from ietpc import MapFormatError
+
+    with pytest.raises(MapFormatError):
+        PeriodicCertificate.from_json_dict(data)
+
+
 def test_certify_honors_budget():
     # far too small to detect anything
     assert certify_periodic(slow_denominators(), Fraction(1, 7), budget=1) is None

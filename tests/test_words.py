@@ -24,7 +24,8 @@ from ietpc import (
     golden_rotation,
     morse_hedlund_flag,
 )
-from ietpc.iet import coding
+from ietpc.iet import coding, refinement_complexity
+from ietpc.words import ComplexityTable
 
 
 def brute_p(symbols, k):
@@ -275,6 +276,46 @@ def test_coding_keeps_one_byte_per_letter():
         tracemalloc.stop()
     assert len(word) == 3000
     assert kept < 4096
+
+
+def test_complexity_tables_keep_one_byte_per_value():
+    T, x = golden_rotation(), Fraction(1, 3)
+    word = coding(T, x, 3000)
+    complexity(word, 4), refinement_complexity(T, x, 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = complexity(word, 40)
+        refined = refinement_complexity(T, x, 40)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.entries == refined.table.entries
+    assert table.k_max == 40
+    assert kept < 1536
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(), ((0, 1),), ((2, 3),), ((1, 2), (3, 4)), ((1, 2), (1, 2))],
+)
+def test_complexity_table_needs_k_from_one(entries):
+    with pytest.raises(ValueError):
+        ComplexityTable(entries)
+
+
+def test_complexity_table_values_past_a_byte():
+    entries = ((1, 7), (2, 300), (3, 70000))
+    table = ComplexityTable(entries, 1, 2, 3)
+    assert table.entries == entries
+    assert [table.p(k) for k in (1, 2, 3)] == [7, 300, 70000]
+    assert table == ComplexityTable(entries, 1, 2, 3)
+    assert hash(table) == hash((entries, 1, 2, 3))
+    assert repr(table) == (
+        "ComplexityTable(entries=((1, 7), (2, 300), (3, 70000)), "
+        "alpha=1, beta=2, k0=3)")
+    with pytest.raises(KeyError):
+        table.p(4)
 
 
 def test_complexity_table_serialization():
