@@ -11,7 +11,6 @@ handlers alone, because library callers reach only dispatch.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -21,6 +20,7 @@ from . import construct as construct_mod
 from . import iet as iet_mod
 from . import pc as pc_mod
 from . import words as words_mod
+from ._record import record
 from .errors import IetpcError
 from .iet import Iet
 from .mapio import atomic_write_text, canonical_json, load_map
@@ -52,7 +52,7 @@ _OPTIONS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class RunConfig:
     command: str
     map_path: Optional[str] = None
@@ -85,15 +85,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@record
 class DispatchResult:
+    __slots__ = ("exit_code", "out", "err")
+
     exit_code: int
     out: str
     err: str

@@ -19,10 +19,10 @@ dyadic representative contraction is synthesized that provably validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .errors import (
     BadAlphabet,
     InterceptMismatch,
@@ -41,7 +41,7 @@ from .words import SymbolicWord, fibonacci_word
 # --------------------------------------------------------------- gap system
 
 
-@dataclass(frozen=True)
+@record
 class GapSystem:
     """Truncated orbit/gap data for one IET and seed.
 
@@ -194,7 +194,7 @@ def default_seed(T: Iet, N: int) -> ExactNumber:
 # ------------------------------------------------------- constructed object
 
 
-@dataclass(frozen=True)
+@record
 class PieceProvenance:
     piece: int
     sign: int
@@ -203,7 +203,7 @@ class PieceProvenance:
     intercept: Ball
 
 
-@dataclass(frozen=True)
+@record
 class ConstructedPc:
     """Exact representative contraction plus enclosures of the true one."""
 
@@ -454,7 +454,7 @@ def _encloses(a: tuple, b: tuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class _Family:
     """Worst-case parameters of every map inside a carrier's enclosures.
 
@@ -588,7 +588,7 @@ def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
 # ------------------------------------------------- rotation specialization
 
 
-@dataclass(frozen=True)
+@record
 class RotationPc:
     delta: Ball
     breakpoint: Ball
@@ -636,7 +636,7 @@ def rabbit_constant(precision_bits: int) -> Ball:
 # ------------------------------------------------------------ verification
 
 
-@dataclass(frozen=True)
+@record
 class SemiconjugacyReport:
     """Outcome of comparing gap-midpoint codings against IET codings.
 

@@ -11,11 +11,11 @@ and makes every piece image a half-open interval [lo, hi).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
+from ._record import record
 from .errors import (
     BadPartition,
     NotBijective,
@@ -27,7 +27,7 @@ from .numeric import ExactNumber, Scalarish, as_exact
 from .words import ComplexityTable, SymbolicWord
 
 
-@dataclass(frozen=True)
+@record
 class Iet:
     """A validated n-piece interval exchange; construct via new_iet."""
 
@@ -160,7 +160,7 @@ def irreducible(T: Iet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class IdocCertificate:
     """Finite certificate about the orbits of the interior breakpoints.
 
@@ -210,8 +210,10 @@ def idoc_check(T: Iet, depth: int) -> IdocCertificate:
     return IdocCertificate(depth, "passed_to_depth")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RefinementComplexity:
+    __slots__ = ("table", "m_values", "m_nonincreasing")
+
     table: ComplexityTable
     m_values: tuple[int, ...]
     m_nonincreasing: bool
@@ -266,7 +268,7 @@ def refinement_complexity(T: Iet, x_regular: Scalarish, k_max: int) -> Refinemen
     return RefinementComplexity(table, tuple(m_values), nonincreasing)
 
 
-@dataclass(frozen=True)
+@record
 class MinimalityCertificate:
     """Keane-style conditional evidence: irreducible + no flips + idoc-to-depth."""
 

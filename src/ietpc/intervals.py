@@ -6,12 +6,11 @@ Used for piece images and itinerary cylinders, where the difference between
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .numeric import ExactNumber, Scalarish, as_exact
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     lo: ExactNumber
     hi: ExactNumber

@@ -14,11 +14,11 @@ while rationals combine freely with either.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Union
 
+from ._record import record
 from .errors import DivisionByZero, IncompatibleRadicands
 
 Rationalish = Union[int, Fraction]
@@ -268,10 +268,12 @@ class ExactNumber:
                      (r1 * s2 - r2 * s1) * q1 * q2, d)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)  # type: ignore[arg-type]
-        if o is None:
-            return NotImplemented
-        return self._rat == o._rat and self._coef == o._coef and self._d == o._d
+        if isinstance(other, ExactNumber):
+            return (self._rat == other._rat and self._coef == other._coef
+                    and self._d == other._d)
+        if isinstance(other, (int, Fraction)):
+            return not self._coef and self._rat == other
+        return NotImplemented
 
     def __lt__(self, other: Scalarish) -> bool:
         return self._cmp(other) < 0
@@ -351,7 +353,7 @@ def _dyadic_round(x: Fraction, bits: int) -> Fraction:
     return Fraction(n, scale)
 
 
-@dataclass(frozen=True)
+@record
 class Ball:
     """A rigorous enclosure [center - radius, center + radius].
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
+from ._record import record
 from .errors import (
     BadPartition,
     CodingUndecidable,
@@ -40,7 +40,7 @@ from .numeric import (
 DEFAULT_BIT_BUDGET = 4096
 
 
-@dataclass(frozen=True)
+@record
 class PiecewiseContraction:
     """A validated injective piecewise contraction; construct via new_pc."""
 
@@ -477,7 +477,7 @@ def _cycle_contracts(C: Interval, a: ExactNumber, c: ExactNumber) -> bool:
     return C.contains_interval(img)
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicCertificate:
     """Machine-checkable proof that the coding of start is q-preperiodic with
     period word period: f^p maps the cylinder of the period word into itself
@@ -769,7 +769,7 @@ def check_certificate(f: PiecewiseContraction, cert: PeriodicCertificate) -> boo
 # ------------------------------------------------------------ empirical factor
 
 
-@dataclass(frozen=True)
+@record
 class EmpiricalFactor:
     """Candidate semiconjugacy data read off one long orbit.
 

@@ -8,13 +8,13 @@ they care about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
+from ._record import record
 from .errors import KTooLarge, LengthMismatch, PrefixTooShort
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
+@record
 class SymbolicWord:
     """An immutable word over a small integer alphabet.
 
@@ -27,9 +27,11 @@ class SymbolicWord:
     letters, and ``symbols`` copies all of them into a tuple.
     """
 
+    __slots__ = ("_letters", "alphabet_size", "provenance")
+
     _letters: Union[bytes, tuple[int, ...]]
     alphabet_size: int
-    provenance: str = ""
+    provenance: str
 
     def __init__(self, symbols: Sequence[int], alphabet_size: int,
                  provenance: str = ""):
@@ -99,7 +101,7 @@ class SymbolicWord:
         return SymbolicWord(symbols, alphabet_size, provenance)
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
+@record
 class ComplexityTable:
     """Pairs (k, p(k)) for k = 1..k_max plus an optional exact affine tail
     p(k) = alpha*k + beta.
@@ -107,6 +109,8 @@ class ComplexityTable:
     The values p(1..k_max) are stored one byte each when every one is at
     most 255, and as a tuple otherwise; ``entries`` builds the pairs.
     """
+
+    __slots__ = ("_values", "alpha", "beta", "k0")
 
     _values: Union[bytes, tuple[int, ...]]
     alpha: Optional[int]
@@ -284,12 +288,12 @@ def morse_hedlund_flag(table: ComplexityTable) -> bool:
     return any(p <= k for k, p in table.entries)
 
 
-@dataclass(frozen=True)
+@record
 class StabilityReport:
     stable: bool
     changed_last_doubling: bool
     changed_previous_doubling: bool
-    lengths: tuple[int, int, int] = field(default=(0, 0, 0))
+    lengths: tuple[int, int, int] = (0, 0, 0)
 
 
 def complexity_stability(word: SymbolicWord, k_max: int) -> StabilityReport:

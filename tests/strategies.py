@@ -1,10 +1,16 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and helpers shared by the test modules."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from ietpc import ExactNumber, from_lengths_and_permutation, new_pc
+
+
+def replaced(obj, **changes):
+    """A copy of the record obj with some fields changed, built by its
+    constructor, which checks them as it would any other."""
+    return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
 
 
 @st.composite

@@ -434,6 +434,16 @@ def test_importing_cli_leaves_click_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Records are plain classes, so start-up pays for neither module; -S
+    keeps imports made by site-packages .pth files out of the check."""
+    probe = ("import sys, ietpc, ietpc.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = _python("-S", "-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_module_entry_point(maps):
     result = _python("-m", "ietpc.cli", "code", "--map", maps["golden.json"],
                      "--x", GOLDEN_X, "--len", "13")

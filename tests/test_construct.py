@@ -7,7 +7,6 @@ the true infinite-sum contraction.  Tests that perturb those balls check
 that the verification machinery actually notices corruption.
 """
 
-import dataclasses
 import itertools
 import tracemalloc
 import types
@@ -46,7 +45,7 @@ from ietpc.mapio import canonical_json
 from ietpc.numeric import ExactNumber, as_exact, to_ball
 from ietpc.pc import PeriodicCertificate
 from ball_reference import ball_orbit as oracle_ball_orbit
-from strategies import dyadic_maps, half_slope_maps
+from strategies import dyadic_maps, half_slope_maps, replaced
 
 ALPHA = ExactNumber(Fraction(3, 2), Fraction(-1, 2), 5)
 RABBIT_19_DIGITS = Fraction("0.7098034428612913146")
@@ -279,7 +278,7 @@ def test_verify_codes_the_exchange_once_per_report(cpc64, golden, monkeypatch):
 def test_verify_detects_corrupted_intercepts(cpc64, golden):
     balls = list(cpc64.intercept_balls)
     balls[0] = Ball(balls[0].center + Fraction(1, 2**10), balls[0].radius)
-    bad = dataclasses.replace(cpc64, intercept_balls=tuple(balls))
+    bad = replaced(cpc64, intercept_balls=tuple(balls))
     report = verify_semiconjugacy(bad, golden, 64, 20)
     assert report.decided_disagree > 0
     assert not report.passed
@@ -367,7 +366,7 @@ def test_robust_certificate_rejects_wide_enclosures():
     assert not robust_certificate(_wrap(f, ic_radius=Fraction(1, 4)), cert)
     assert certify_periodic(_wrap(f, ic_radius=Fraction(1, 4)), 0) is None
     # garbage period words are rejected outright
-    bad = dataclasses.replace(cert, period=(1, 7), p=2)
+    bad = replaced(cert, period=(1, 7), p=2)
     assert not robust_certificate(_wrap(f), bad)
 
 
@@ -608,7 +607,7 @@ def test_scaled_family_words_match_the_exact_path(case, bp_r, ic_r):
     f, x = case
     family = construct._Family.of(_wrap(f, bp_r, ic_r))
     assert family.scaled is not None
-    exact = dataclasses.replace(family, scaled=None)
+    exact = replaced(family, scaled=None)
     for word in _kernel_words(f, x, certify_periodic(f, x)):
         assert construct._robust_cycle(family, word) == (
             construct._robust_cycle(exact, word))
@@ -636,7 +635,7 @@ def test_non_dyadic_maps_never_enter_the_kernel(monkeypatch):
 
 def _exact_robust(carrier):
     """robust_certificate on the ExactNumber family, the kernel's oracle."""
-    exact = dataclasses.replace(construct._Family.of(carrier), scaled=None)
+    exact = replaced(construct._Family.of(carrier), scaled=None)
     return lambda cert: robust_certificate(carrier, cert, _family=exact)
 
 

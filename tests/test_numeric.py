@@ -357,6 +357,18 @@ def test_hash_consistent_with_eq(pair):
         assert hash(a) == hash(b)
 
 
+@settings(max_examples=400)
+@given(exact_numbers(), st.one_of(st.integers(-60, 60), fracs, st.booleans()))
+def test_equality_with_plain_rationals(x, r):
+    """An int or Fraction operand is compared without coercion; the answer
+    is the one against the same value as an ExactNumber."""
+    for v in (r, x.rational_part, int(x.rational_part)):
+        want = x == ExactNumber(v)
+        assert (x == v) is want and (v == x) is want and (x != v) is not want
+        if want:
+            assert hash(x) == hash(v)
+
+
 def test_float_conversion_close():
     phi = (ExactNumber(1) + ExactNumber.sqrt(5)) / 2
     # float() routes through a finite-precision ball, so only ask for ~12 digits

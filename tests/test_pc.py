@@ -1,7 +1,6 @@
 """Injective piecewise contractions: validation, codings, and certified
 ultimately periodic orbits."""
 
-import dataclasses
 import hashlib
 import random
 import sys
@@ -35,7 +34,7 @@ from ietpc import (
 from ietpc.numeric import as_exact, to_ball
 from ietpc.pc import _ceil_lattice, _orbit, ball_orbit
 from ball_reference import ball_orbit as oracle_ball_orbit, ball_piece
-from strategies import dyadic_maps, half_slope_maps, slope_maps
+from strategies import dyadic_maps, half_slope_maps, replaced, slope_maps
 
 HALF = Fraction(1, 2)
 
@@ -296,20 +295,16 @@ def test_certificate_respects_cycle_equation():
 def test_check_certificate_rejects_tampering():
     f = one_piece()
     cert = certify_periodic(f, 0)
-    longer = dataclasses.replace(cert, period=(1,) * (cert.p + 1), p=cert.p + 1)
+    longer = replaced(cert, period=(1,) * (cert.p + 1), p=cert.p + 1)
     assert not check_certificate(f, longer)
-    moved = dataclasses.replace(cert, fixed_point=cert.fixed_point + Fraction(1, 100))
+    moved = replaced(cert, fixed_point=cert.fixed_point + Fraction(1, 100))
     assert not check_certificate(f, moved)
     from ietpc import Interval
 
-    narrowed = dataclasses.replace(
-        cert, cylinder=Interval(Fraction(0), Fraction(1, 100))
-    )
+    narrowed = replaced(cert, cylinder=Interval(Fraction(0), Fraction(1, 100)))
     assert not check_certificate(f, narrowed)
     for q in (0, 1):  # a start outside [0, 1) is refused, not raised on
-        outside = dataclasses.replace(
-            cert, start=ExactNumber(2), q=q, preperiod=(1,) * q
-        )
+        outside = replaced(cert, start=ExactNumber(2), q=q, preperiod=(1,) * q)
         assert not check_certificate(f, outside)
 
 
