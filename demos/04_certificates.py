@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from ietpc import (
+    Interval,
     PeriodicCertificate,
     build_pc_from_iet,
     certify_periodic,
@@ -47,11 +48,17 @@ print("predicted", predicted, "observed", observed)
 assert predicted == observed
 
 # tampering is caught; certificates are frozen, so a changed one is built anew
-data = c2.to_json_dict()
-bad = PeriodicCertificate.from_json_dict({**data, "period": [2, 1]})
+def tampered(cert, period=None, cylinder=None):
+    return PeriodicCertificate(
+        start=cert.start, q=cert.q, p=cert.p, preperiod=cert.preperiod,
+        period=period or cert.period, cylinder=cylinder or cert.cylinder,
+        cycle_slope=cert.cycle_slope, cycle_intercept=cert.cycle_intercept,
+        fixed_point=cert.fixed_point)
+
+
+bad = tampered(c2, period=(2, 1))
 assert not check_certificate(f2, bad)
-bad = PeriodicCertificate.from_json_dict(
-    {**data, "cylinder": {"lo": "0/1", "hi": "1/100", "lo_closed": True, "hi_closed": False}})
+bad = tampered(c2, cylinder=Interval(Fraction(0), Fraction(1, 100)))
 assert not check_certificate(f2, bad)
 print("tampered certificates rejected")
 

@@ -10,7 +10,7 @@ change.  A class that declares ``__slots__`` also gets ``__getstate__`` and
 are the class attribute ``_fields``.
 """
 
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 _MISSING = object()
 
@@ -23,14 +23,10 @@ def _refuse_delete(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _tuple_getter(make, names):
-    """make(*names), as a function that returns a tuple for one name too."""
-    get = make(*names)
-    return get if len(names) > 1 else (lambda obj: (get(obj),))
-
-
 def record(cls):
     owner, names = cls.__name__, tuple(cls.__annotations__)
+    # attrgetter returns a tuple only for two or more names
+    assert len(names) >= 2, f"{owner}: a record needs at least two fields"
     size = len(names)
     slots = vars(cls).get("__slots__", ())
     # a slot's class attribute is its descriptor, never a default
@@ -38,25 +34,15 @@ def record(cls):
     required = has_default.count(False)
     if any(has_default[:required]):
         raise TypeError(f"{owner}: a field without a default follows a default")
-    defaults = tuple(vars(cls)[n] for n in names[required:])
-    template = [_MISSING] * required + list(defaults)
+    template = [_MISSING] * required + [vars(cls)[n] for n in names[required:]]
     index = {n: i for i, n in enumerate(names)}
-    values = _tuple_getter(attrgetter, names)
-    pick = _tuple_getter(itemgetter, names)
+    values = attrgetter(*names)
     post_init = getattr(cls, "__post_init__", None)
     put = object.__setattr__
 
     def bind(args, kwargs):
         """The field values of a call in field order; TypeError where a
         function with these parameters would raise it."""
-        if not kwargs:
-            if required <= len(args) < size:
-                return args + defaults[len(args) - required:]
-        elif not args and len(kwargs) == size:
-            try:
-                return pick(kwargs)
-            except KeyError:
-                pass  # an unknown name among them: the loop below names it
         if len(args) > size:
             raise TypeError(f"{owner}() takes {size} arguments but {len(args)} were given")
         bound = [*args, *template[len(args):]]

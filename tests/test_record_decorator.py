@@ -1,5 +1,5 @@
-"""The record decorator on classes the package does not define: a single
-field, partial keyword calls, and a default before a required field."""
+"""The record decorator on classes the package does not define: partial
+keyword calls, slotted copies, and a default before a required field."""
 
 import copy
 import pickle
@@ -10,23 +10,11 @@ from ietpc._record import record
 
 
 @record
-class Single:
-    value: int
-
-
-@record
 class Pair:
     __slots__ = ("a", "b")
 
     a: int
     b: int
-
-
-def test_single_field_record():
-    one = Single(1)
-    assert repr(one) == "Single(value=1)" and one._fields == ("value",)
-    assert one == Single(value=1) and one != Single(2)
-    assert hash(one) == hash((1,))
 
 
 def test_keyword_calls_name_the_missing_field():
