@@ -83,13 +83,6 @@ class RunConfig:
             if value is not None and kind == "path" and not value:
                 raise ValueError(f"{name} must be nonempty")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(cls._fields)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
-
 
 @record
 class DispatchResult:

@@ -20,6 +20,7 @@ dyadic representative contraction is synthesized that provably validates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from ._record import record
@@ -383,8 +384,7 @@ def build_pc_from_iet(
 
 
 def robust_certificate(
-    cpc: ConstructedPc, cert, _cycles: Optional[dict] = None,
-    _family: Optional["_Family"] = None,
+    cpc: ConstructedPc, cert, _family: Optional["_Family"] = None
 ) -> bool:
     """Does the certificate hold for EVERY map inside the enclosures?
 
@@ -407,19 +407,22 @@ def robust_certificate(
     parameter uncertainty, through the preperiod; it must land inside the
     inner cylinder.
 
-    _cycles, when given, memoises the word half by period word, and
-    _family is _Family.of(cpc); both must only ever see one carrier
-    (certify_periodic passes a fresh pair per search).  All endpoints stay
-    exact, so True is a proof that the true contraction's coding of
-    cert.start is ultimately periodic with the certified word.
+    The family is checked when its ball ends are dyadic and its slopes are
+    +-2**-k, as for every build_pc_from_iet result; any other carrier is
+    refused (False).  _family, when given, is _Family.of(cpc), whose memo
+    keeps the word half of each period word (certify_periodic passes one
+    per search).  All endpoints stay exact, so True is a proof that the
+    true contraction's coding of cert.start is ultimately periodic with the
+    certified word.
     """
-    word = tuple(cert.period)
-    cycles = {} if _cycles is None else _cycles
+    family = _Family.of(cpc) if _family is None else _family
+    if family is None:
+        return False
+    word, cycles = tuple(cert.period), family.cycles
     # the memo only holds words whose letters were checked
-    if len(word) != cert.p or (
+    if not word or len(word) != cert.p or (
             word not in cycles and any(not 1 <= w <= cpc.pc.n for w in word)):
         return False
-    family = _Family.of(cpc) if _family is None else _family
     if word not in cycles:
         cycles[word] = _robust_cycle(family, word)
     cylinder = cycles[word]
@@ -456,39 +459,44 @@ def _encloses(a: tuple, b: tuple) -> bool:
 
 @record
 class _Family:
-    """Worst-case parameters of every map inside a carrier's enclosures.
-
-    scaled is _dyadic_scale of the ends and slopes when every end is dyadic
-    and every slope is +-2**-k, else None."""
+    """Worst-case parameters of every map inside a carrier's enclosures,
+    exact and as _dyadic_scale's integers (scaled)."""
 
     slopes: tuple[ExactNumber, ...]
     bp_lo: tuple[ExactNumber, ...]
     bp_hi: tuple[ExactNumber, ...]
     ic_lo: tuple[ExactNumber, ...]
     ic_hi: tuple[ExactNumber, ...]
-    scaled: Optional[tuple]
+    scaled: tuple
 
     @classmethod
-    def of(cls, cpc) -> "_Family":
+    def of(cls, cpc) -> Optional["_Family"]:
+        """The family of cpc, or None unless every ball end is dyadic and
+        every slope is +-2**-k."""
         bps, ics = cpc.breakpoint_balls, cpc.intercept_balls
         ends = ([b.lo for b in bps], [b.hi for b in bps],
                 [b.lo for b in ics], [b.hi for b in ics])
+        scaled = _dyadic_scale(ends, cpc.pc.slopes)
+        if scaled is None:
+            return None
         return cls(cpc.pc.slopes, *(tuple(map(ExactNumber, vs)) for vs in ends),
-                   _dyadic_scale(ends, cpc.pc.slopes))
+                   scaled)
+
+    @cached_property
+    def cycles(self) -> dict:
+        """robust_certificate's memo: period word -> _robust_cycle's answer."""
+        return {}
 
     def inner_piece(self, i: int) -> tuple:
         """[worst-case left endpoint, worst-case right endpoint) of piece i."""
         return self.bp_hi[i - 1], False, self.bp_lo[i], True
 
     def step(self, y: tuple, letter: int) -> Optional[tuple]:
-        """image(y, letter), or None when y may leave that piece."""
-        if not _encloses(self.inner_piece(letter), y):
+        """Hull of y's images under piece `letter` of every family member,
+        or None when y may leave that piece or there is no such piece."""
+        if not 1 <= letter <= len(self.slopes) or not _encloses(
+                self.inner_piece(letter), y):
             return None
-        return self.image(y, letter)
-
-    def image(self, y: tuple, letter: int) -> tuple:
-        """Hull of y's images under piece `letter` of every family member;
-        unchecked, so y must lie inside the inner piece."""
         ylo, ylo_open, yhi, yhi_open = y
         s = self.slopes[letter - 1]
         blo, bhi = self.ic_lo[letter - 1], self.ic_hi[letter - 1]
@@ -497,14 +505,16 @@ class _Family:
         return s * yhi + blo, yhi_open, s * ylo + bhi, ylo_open
 
 
-def _scaled_robust_cycle(scaled: tuple, word: tuple[int, ...]) -> Optional[tuple]:
-    """_robust_cycle on a dyadic family's scaled integers (_Family.scaled).
+def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
+    """The word half of robust_certificate: the for-all inner cylinder of
+    word when the worst-case cycle hull lands back inside it, else None.
 
-    The backward recursion stays over 2**e, a for-all preimage being a left
-    shift; the forward hull of a word whose shifts sum to K ends over
-    2**(e + K).  Only the cylinder leaves as ExactNumbers.
+    It runs on the family's scaled integers.  The backward recursion stays
+    over 2**e, a for-all preimage being a left shift; the forward hull of a
+    word whose shifts sum to K ends over 2**(e + K).  Only the cylinder
+    leaves as ExactNumbers.
     """
-    e, (bp_lo, bp_hi, ic_lo, ic_hi), steps = scaled
+    e, (bp_lo, bp_hi, ic_lo, ic_hi), steps = family.scaled
     lo, lo_open, hi, hi_open = bp_hi[word[-1] - 1], False, bp_lo[word[-1]], True
     for letter in reversed(word[:-1]):
         sign, k = steps[letter - 1]
@@ -546,43 +556,6 @@ def _scaled_robust_cycle(scaled: tuple, word: tuple[int, ...]) -> Optional[tuple
     scale = 1 << e
     return (ExactNumber(Fraction(lo, scale)), lo_open,
             ExactNumber(Fraction(hi, scale)), hi_open)
-
-
-def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
-    """The word half of robust_certificate: the for-all inner cylinder of
-    word when the worst-case cycle hull lands back inside it, else None."""
-    if family.scaled is not None:
-        return _scaled_robust_cycle(family.scaled, word)
-    # built backwards through for-all preimages
-    lo, lo_open, hi, hi_open = family.inner_piece(word[-1])
-    for letter in reversed(word[:-1]):
-        s = family.slopes[letter - 1]
-        blo, bhi = family.ic_lo[letter - 1], family.ic_hi[letter - 1]
-        if s > 0:
-            pre_lo, pre_lo_open = (lo - blo) / s, lo_open
-            pre_hi, pre_hi_open = (hi - bhi) / s, hi_open
-        else:
-            pre_lo, pre_lo_open = (hi - bhi) / s, hi_open
-            pre_hi, pre_hi_open = (lo - blo) / s, lo_open
-        plo, _, phi, _ = family.inner_piece(letter)
-        if pre_lo > plo or (pre_lo == plo and pre_lo_open):
-            lo, lo_open = pre_lo, pre_lo_open
-        else:
-            lo, lo_open = plo, False
-        if pre_hi < phi or (pre_hi == phi and pre_hi_open):
-            hi, hi_open = pre_hi, pre_hi_open
-        else:
-            hi, hi_open = phi, True
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            return None
-    cylinder = (lo, lo_open, hi, hi_open)
-
-    # as in _scaled_robust_cycle, each step lands in the next letter's
-    # for-all preimage, which lies inside that letter's inner piece
-    hull = cylinder
-    for letter in word:
-        hull = family.image(hull, letter)
-    return cylinder if _encloses(cylinder, hull) else None
 
 
 # ------------------------------------------------- rotation specialization
@@ -656,10 +629,6 @@ class SemiconjugacyReport:
     @property
     def total_positions(self) -> int:
         return self.samples * self.length
-
-    @property
-    def undecided_fraction(self) -> float:
-        return self.undecided / self.total_positions
 
     @property
     def passed(self) -> bool:

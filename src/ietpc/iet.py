@@ -56,10 +56,6 @@ class Iet:
             return i, self.images[i - 1].lo
         return i, self.translations[i - 1] - v
 
-    def piece_index(self, x: Scalarish) -> int:
-        """1-based index of the half-open piece containing x."""
-        return self.step(x)[0]
-
     def eval(self, x: Scalarish) -> ExactNumber:
         return self.step(x)[1]
 

@@ -402,12 +402,6 @@ class Ball:
     def overlaps(self, other: "Ball") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)
 
-    def strictly_below(self, other: "Ball") -> bool:
-        return self.hi < other.lo
-
-    def strictly_above(self, other: "Ball") -> bool:
-        return self.lo > other.hi
-
     # ------------------------------------------------------------ arithmetic
 
     def _coerce_ball(self, other: "Ball | Fraction | int") -> "Ball":

@@ -64,10 +64,6 @@ class PiecewiseContraction:
             raise OutOfDomain(f"{v} outside [0, 1)")
         return i, self.slopes[i - 1] * v + self.intercepts[i - 1]
 
-    def piece_index(self, x: Scalarish) -> int:
-        """1-based index of the half-open piece containing x."""
-        return self.step(x)[0]
-
     def eval(self, x: Scalarish) -> ExactNumber:
         return self.step(x)[1]
 
@@ -367,9 +363,9 @@ def _dyadic_scale(groups: Sequence[Sequence], slopes: Sequence):
         num, den = s.rational_part.numerator, s.rational_part.denominator
         if not s.is_rational or abs(num) != 1 or den == 1 or den & (den - 1):
             return None
-        steps.append((num, den.bit_length() - 1))
-    e = max(q.denominator.bit_length() - 1 for q in fracs)
-    nums = iter(q.numerator << (e + 1 - q.denominator.bit_length()) for q in fracs)
+        steps.append((num, _exponent(s.rational_part)))
+    e = _exponent(*fracs)
+    nums = iter(_lattice(q, e) for q in fracs)
     return e, [[next(nums) for _ in vs] for vs in groups], steps
 
 
@@ -650,20 +646,22 @@ def certify_periodic(
     required to hold for every map inside the enclosures; a cycle that is
     an artifact of truncating the true parameters has containment margins
     far below the enclosure radii and is rejected, so the answer speaks
-    for the true map, not for its representative.
+    for the true map, not for its representative.  Such a carrier is
+    searched when its ball ends are dyadic and its slopes are +-2**-k, as
+    for every build_pc_from_iet result; for any other the answer is None.
     """
     rep = _enclosed_representative(f)
     if rep is None:
         return _certify_exact(f, x, budget, bit_budget)
     from .construct import _Family, robust_certificate
 
-    # robust_certificate's word-half memo and family for this search
-    cycles: dict = {}
+    # one family, and so one word-half memo, for the whole search
     family = _Family.of(f)
+    if family is None:
+        return None
     return _certify_exact(
         rep, x, budget, bit_budget,
-        _accept=lambda cert: robust_certificate(
-            f, cert, _cycles=cycles, _family=family),
+        _accept=lambda cert: robust_certificate(f, cert, _family=family),
     )
 
 

@@ -81,24 +81,10 @@ class SymbolicWord:
             raise ValueError("prefix length out of range")
         return SymbolicWord(self._letters[:n], self.alphabet_size, self.provenance)
 
-    def shift_letters(self, offset: int) -> "SymbolicWord":
-        shifted = tuple(s + offset for s in self._letters)
-        size = max(self.alphabet_size + offset, max(shifted))
-        return SymbolicWord(shifted, size, f"{self.provenance}|shift {offset:+d}")
-
     def to_text(self) -> str:
         if self.alphabet_size <= 9:
             return "".join(map(str, self._letters))
         return ",".join(map(str, self._letters))
-
-    @staticmethod
-    def from_text(text: str, alphabet_size: int, provenance: str = "") -> "SymbolicWord":
-        text = text.strip()
-        if "," in text:
-            symbols = tuple(int(t) for t in text.split(","))
-        else:
-            symbols = tuple(int(ch) for ch in text)
-        return SymbolicWord(symbols, alphabet_size, provenance)
 
 
 @record

@@ -83,9 +83,9 @@ def run(**kw) -> DispatchResult:
 
 
 def test_runconfig_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        RunConfig.from_dict({"command": "code", "verbosity": 3})
-    cfg = RunConfig.from_dict({"command": "code", "length": 5})
+    with pytest.raises(TypeError):
+        RunConfig(**{"command": "code", "verbosity": 3})
+    cfg = RunConfig(**{"command": "code", "length": 5})
     assert cfg.length == 5
 
 

@@ -11,9 +11,10 @@ import itertools
 import tracemalloc
 import types
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ietpc import (
@@ -45,7 +46,8 @@ from ietpc.mapio import canonical_json
 from ietpc.numeric import ExactNumber, as_exact, to_ball
 from ietpc.pc import PeriodicCertificate
 from ball_reference import ball_orbit as oracle_ball_orbit
-from strategies import dyadic_maps, half_slope_maps, replaced
+from robust_reference import exact_robust_cycle
+from strategies import dyadic_maps, half_slope_maps, replaced, slope_maps
 
 ALPHA = ExactNumber(Fraction(3, 2), Fraction(-1, 2), 5)
 RABBIT_19_DIGITS = Fraction("0.7098034428612913146")
@@ -255,7 +257,7 @@ def test_verify_semiconjugacy_clean(cpc64, golden):
     assert report.first_disagreement is None
     assert report.relabeling_identity
     assert report.passed
-    assert report.undecided_fraction == 0.0
+    assert report.total_positions == 1280
     assert report.to_json_dict()["passed"] is True
 
 
@@ -366,8 +368,33 @@ def test_robust_certificate_rejects_wide_enclosures():
     assert not robust_certificate(_wrap(f, ic_radius=Fraction(1, 4)), cert)
     assert certify_periodic(_wrap(f, ic_radius=Fraction(1, 4)), 0) is None
     # garbage period words are rejected outright
-    bad = replaced(cert, period=(1, 7), p=2)
-    assert not robust_certificate(_wrap(f), bad)
+    for period in ((1, 7), ()):
+        bad = replaced(cert, period=period, p=len(period))
+        assert not robust_certificate(_wrap(f), bad)
+
+
+def test_robust_certificate_refuses_preperiod_letters_outside_the_pieces():
+    """A preperiod letter outside 1..n names no piece: -1 must not be read
+    as piece 2's domain with piece 1's map, nor 3 raise IndexError."""
+    f = new_pc([0, Fraction(1, 12), 1], [Fraction(1, 2)] * 2, [0, 0])
+    cert = certify_periodic(f, Fraction(3, 35))
+    assert cert.preperiod == (2,) and robust_certificate(_wrap(f), cert)
+    for letter in (-1, 0, 3):
+        assert not robust_certificate(_wrap(f), replaced(cert, preperiod=(letter,)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(slope_maps(3, min_pieces=2, max_pieces=3))
+def test_carriers_with_slopes_off_powers_of_two_are_refused(case):
+    """The family check runs on slopes +-2**-k only, so a slope-1/3
+    carrier is refused even where its representative certifies."""
+    f, x = case
+    cert = certify_periodic(f, x)
+    assume(cert is not None)
+    carrier = _wrap(f)
+    assert construct._Family.of(carrier) is None
+    assert not robust_certificate(carrier, cert)
+    assert certify_periodic(carrier, x) is None
 
 
 def test_representative_lock_in_is_not_family_robust(cpc64):
@@ -510,9 +537,9 @@ def test_robust_verdict_does_not_depend_on_the_memo(case, search, bp_r, ic_r):
     except DenominatorBlowup:
         pass
     carrier = _wrap(f, bp_r, ic_r)
-    memo: dict = {}
+    family = construct._Family.of(carrier)
     for cert in certs + certs:
-        assert robust_certificate(carrier, cert, _cycles=memo) == (
+        assert robust_certificate(carrier, cert, _family=family) == (
             robust_certificate(carrier, cert))
 
 
@@ -572,6 +599,10 @@ TIES = (
     new_pc([0, Fraction(1, 8), Fraction(7, 8), 1],
            [Fraction(-1, 4), Fraction(-1, 4), Fraction(-1, 2)],
            [Fraction(5, 32), Fraction(29, 32), Fraction(23, 32)]),
+    # the for-all cylinder of (1, 2) shrinks to the point 1/2 with one end
+    # open, and the cycle fixes 1/2
+    new_pc([0, Fraction(1, 2), 1], [Fraction(1, 2), Fraction(1, 2)],
+           [Fraction(1, 4), Fraction(1, 4)]),
 )
 
 
@@ -606,11 +637,10 @@ def test_scaled_family_words_match_the_exact_path(case, bp_r, ic_r):
     dyadic or not, runs on the scaled kernel."""
     f, x = case
     family = construct._Family.of(_wrap(f, bp_r, ic_r))
-    assert family.scaled is not None
-    exact = replaced(family, scaled=None)
+    assert family is not None
     for word in _kernel_words(f, x, certify_periodic(f, x)):
         assert construct._robust_cycle(family, word) == (
-            construct._robust_cycle(exact, word))
+            exact_robust_cycle(family, word))
 
 
 def test_non_dyadic_maps_never_enter_the_kernel(monkeypatch):
@@ -634,9 +664,14 @@ def test_non_dyadic_maps_never_enter_the_kernel(monkeypatch):
 
 
 def _exact_robust(carrier):
-    """robust_certificate on the ExactNumber family, the kernel's oracle."""
-    exact = replaced(construct._Family.of(carrier), scaled=None)
-    return lambda cert: robust_certificate(carrier, cert, _family=exact)
+    """robust_certificate with the ExactNumber word half, the kernel's
+    oracle."""
+
+    def accept(cert):
+        with mock.patch.object(construct, "_robust_cycle", exact_robust_cycle):
+            return robust_certificate(carrier, cert)
+
+    return accept
 
 
 @settings(max_examples=100, deadline=None)

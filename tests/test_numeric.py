@@ -497,7 +497,7 @@ def test_ball_scale_encloses(x, m, e):
 
 @given(balls, balls)
 def test_ball_predicates_consistent(x, y):
-    if x.strictly_below(y) or x.strictly_above(y):
+    if x.hi < y.lo or x.lo > y.hi:
         assert not x.overlaps(y)
     else:
         assert x.overlaps(y)

@@ -159,7 +159,7 @@ def _samples() -> dict:
         cpc.provenance[0],
         cpc,
         _Family.of(cpc),
-        rotation_pc(fibonacci_word(12).shift_letters(1)),
+        rotation_pc(SymbolicWord([c + 1 for c in fibonacci_word(12)], 2)),
         verify_semiconjugacy(cpc, golden, 4, 2),
     ]
     return {type(o).__name__: o for o in objs}

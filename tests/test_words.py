@@ -99,7 +99,7 @@ def test_isomorphic_relabeling():
 def test_detect_eventual_period_examples():
     assert detect_eventual_period(SymbolicWord((1,) * 13, 1)) == (0, 1)
     # periodic from the very start: the minimal preperiod is 0, not 1
-    w = SymbolicWord.from_text("2112112112112", 2)
+    w = SymbolicWord((2, 1, 1) * 4 + (2,), 2)
     assert detect_eventual_period(w) == (0, 3)
     # a genuine preperiod: the leading 3 never recurs
     w = SymbolicWord((3,) + (1, 1, 2) * 8, 3)
@@ -108,12 +108,17 @@ def test_detect_eventual_period_examples():
         detect_eventual_period(SymbolicWord((1, 2, 1, 2, 1, 2, 1), 2))
 
 
+def _fibonacci_12(n):
+    """The first n letters of the Fibonacci word, written in 1 and 2."""
+    return SymbolicWord([c + 1 for c in fibonacci_word(n)], 2)
+
+
 def test_detect_on_aperiodic_prefixes_is_only_a_filter():
     """Sturmian prefixes can end in a cube, so detection may fire without the
     infinite word being periodic; certification is the sound layer."""
-    w = fibonacci_word(51).shift_letters(1)
+    w = _fibonacci_12(51)
     assert detect_eventual_period(w) is None
-    w100 = fibonacci_word(100).shift_letters(1)
+    w100 = _fibonacci_12(100)
     assert detect_eventual_period(w100) == (34, 21)
 
 
@@ -165,7 +170,7 @@ def eventually_periodic_words(draw):
 def shifted_fibonacci_prefixes(draw):
     start = draw(st.integers(0, 200))
     n = draw(st.integers(8, 300))
-    return list(fibonacci_word(start + n).shift_letters(1).symbols[start:])
+    return list(_fibonacci_12(start + n).symbols[start:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,11 +212,9 @@ def test_word_plumbing():
     assert len(w) == 5 and w[2] == 0
     assert w.prefix(3).symbols == (0, 1, 0)
     assert w.suffix(2).symbols == (0, 0, 1)
-    assert w.shift_letters(1).symbols == (1, 2, 1, 1, 2)
-    assert SymbolicWord.from_text(w.to_text(), 1).symbols == w.symbols
+    assert w.to_text() == "01001"
     big = SymbolicWord((3, 11, 7), 11)
     assert big.to_text() == "3,11,7"
-    assert SymbolicWord.from_text(big.to_text(), 11).symbols == big.symbols
     with pytest.raises(ValueError):
         SymbolicWord((), 1)
     with pytest.raises(ValueError):
