@@ -142,9 +142,13 @@ def _need_pc(m) -> PiecewiseContraction:
     return m
 
 
-def _write_out(config: RunConfig, path: str, text: str) -> None:
+def _check_target(config: RunConfig, path: str) -> None:
     if os.path.exists(path) and not config.force:
         raise ValueError(f"{path} exists; pass --force to overwrite")
+
+
+def _write_out(config: RunConfig, path: str, text: str) -> None:
+    _check_target(config, path)
     atomic_write_text(path, text)
 
 
@@ -157,6 +161,10 @@ def dispatch(config: RunConfig) -> DispatchResult:
 
 
 def _run(config: RunConfig) -> tuple[int, str]:
+    # a handler may write a file of its own (construct's sidecar), so --out
+    # is checked before it runs: a refusal writes nothing
+    if config.out_path is not None:
+        _check_target(config, config.out_path)
     code, text = _COMMANDS[config.command][0](config)
     if config.out_path is not None:
         _write_out(config, config.out_path, text)

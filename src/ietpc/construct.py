@@ -34,6 +34,7 @@ from .errors import (
 )
 from .iet import Iet
 from .iet import coding as iet_coding
+from .intervals import meet, within
 from .numeric import Ball, ExactNumber, Scalarish, as_exact, format_scalar
 from .pc import PiecewiseContraction, _dyadic_scale, ball_orbit, new_pc
 from .words import SymbolicWord, fibonacci_word
@@ -430,31 +431,19 @@ def robust_certificate(
         return False
 
     y = as_exact(cert.start)
-    hull = (y, False, y, False)
+    hull = (y, y, True, True)
     for letter in cert.preperiod:
         hull = family.step(hull, letter)
         if hull is None:
             return False
-    return _encloses(cylinder, hull)
+    return within(cylinder, hull)
 
 
-# Intervals of the family-robust check are (lo, lo_open, hi, hi_open) with
-# exact endpoints.  The open flags matter: a hull whose supremum is never
-# attained may share that supremum with a half-open piece and still be
-# contained in it, and the exact cylinders produced by the backward
-# recursion bind against some piece boundary almost always.
-
-
-def _encloses(a: tuple, b: tuple) -> bool:
-    """Is interval b a subset of interval a, endpoint flags respected?
-    Ends may be exact scalars or numerators over one power of two."""
-    alo, alo_open, ahi, ahi_open = a
-    blo, blo_open, bhi, bhi_open = b
-    if blo < alo or (blo == alo and alo_open and not blo_open):
-        return False
-    if bhi > ahi or (bhi == ahi and ahi_open and not bhi_open):
-        return False
-    return True
+# Intervals of the family-robust check are intervals.meet/within tuples
+# (lo, hi, lo_closed, hi_closed).  The flags matter: a hull whose supremum
+# is never attained may share that supremum with a half-open piece and
+# still be contained in it, and the exact cylinders produced by the
+# backward recursion bind against some piece boundary almost always.
 
 
 @record
@@ -489,20 +478,20 @@ class _Family:
 
     def inner_piece(self, i: int) -> tuple:
         """[worst-case left endpoint, worst-case right endpoint) of piece i."""
-        return self.bp_hi[i - 1], False, self.bp_lo[i], True
+        return self.bp_hi[i - 1], self.bp_lo[i], True, False
 
     def step(self, y: tuple, letter: int) -> Optional[tuple]:
         """Hull of y's images under piece `letter` of every family member,
         or None when y may leave that piece or there is no such piece."""
-        if not 1 <= letter <= len(self.slopes) or not _encloses(
+        if not 1 <= letter <= len(self.slopes) or not within(
                 self.inner_piece(letter), y):
             return None
-        ylo, ylo_open, yhi, yhi_open = y
+        ylo, yhi, ylo_closed, yhi_closed = y
         s = self.slopes[letter - 1]
         blo, bhi = self.ic_lo[letter - 1], self.ic_hi[letter - 1]
         if s > 0:
-            return s * ylo + blo, ylo_open, s * yhi + bhi, yhi_open
-        return s * yhi + blo, yhi_open, s * ylo + bhi, ylo_open
+            return s * ylo + blo, s * yhi + bhi, ylo_closed, yhi_closed
+        return s * yhi + blo, s * ylo + bhi, yhi_closed, ylo_closed
 
 
 def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
@@ -515,32 +504,25 @@ def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
     leaves as ExactNumbers.
     """
     e, (bp_lo, bp_hi, ic_lo, ic_hi), steps = family.scaled
-    lo, lo_open, hi, hi_open = bp_hi[word[-1] - 1], False, bp_lo[word[-1]], True
+    C = (bp_hi[word[-1] - 1], bp_lo[word[-1]], True, False)
     for letter in reversed(word[:-1]):
         sign, k = steps[letter - 1]
         blo, bhi = ic_lo[letter - 1], ic_hi[letter - 1]
+        lo, hi, lo_closed, hi_closed = C
+        # the for-all preimage of C, met with the letter's inner piece
         if sign > 0:
-            pre_lo, pre_lo_open = (lo - blo) << k, lo_open
-            pre_hi, pre_hi_open = (hi - bhi) << k, hi_open
+            pre = (lo - blo) << k, (hi - bhi) << k, lo_closed, hi_closed
         else:
-            pre_lo, pre_lo_open = (bhi - hi) << k, hi_open
-            pre_hi, pre_hi_open = (blo - lo) << k, lo_open
-        plo, phi = bp_hi[letter - 1], bp_lo[letter]
-        if pre_lo > plo or (pre_lo == plo and pre_lo_open):
-            lo, lo_open = pre_lo, pre_lo_open
-        else:
-            lo, lo_open = plo, False
-        if pre_hi < phi or (pre_hi == phi and pre_hi_open):
-            hi, hi_open = pre_hi, pre_hi_open
-        else:
-            hi, hi_open = phi, True
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            pre = (bhi - hi) << k, (blo - lo) << k, hi_closed, lo_closed
+        C = meet(pre, (bp_hi[letter - 1], bp_lo[letter], True, False))
+        if C is None:
             return None
 
     # the hull never leaves an inner piece on the way: each step lands
     # in the next letter's for-all preimage, which the recursion above
     # intersected with that letter's inner piece
-    ylo, ylo_open, yhi, yhi_open = lo, lo_open, hi, hi_open
+    lo, hi, lo_closed, hi_closed = C
+    ylo, yhi, ylo_closed, yhi_closed = C
     shift = 0
     for letter in word:
         sign, k = steps[letter - 1]
@@ -549,13 +531,14 @@ def _robust_cycle(family: _Family, word: tuple[int, ...]) -> Optional[tuple]:
         if sign > 0:
             ylo, yhi = ylo + blo, yhi + bhi
         else:
-            ylo, ylo_open, yhi, yhi_open = blo - yhi, yhi_open, bhi - ylo, ylo_open
-    if not _encloses((lo << shift, lo_open, hi << shift, hi_open),
-                     (ylo, ylo_open, yhi, yhi_open)):
+            ylo, yhi, ylo_closed, yhi_closed = (
+                blo - yhi, bhi - ylo, yhi_closed, ylo_closed)
+    if not within((lo << shift, hi << shift, lo_closed, hi_closed),
+                  (ylo, yhi, ylo_closed, yhi_closed)):
         return None
     scale = 1 << e
-    return (ExactNumber(Fraction(lo, scale)), lo_open,
-            ExactNumber(Fraction(hi, scale)), hi_open)
+    return (ExactNumber(Fraction(lo, scale)), ExactNumber(Fraction(hi, scale)),
+            lo_closed, hi_closed)
 
 
 # ------------------------------------------------- rotation specialization

@@ -2,12 +2,52 @@
 
 Used for piece images and itinerary cylinders, where the difference between
 ``[a, b)`` and ``(a, b]`` decides injectivity and certificate soundness.
+
+The rule for intersecting such intervals and testing containment lives here
+once, in meet and within.  They take ``(lo, hi, lo_closed, hi_closed)``
+tuples whose ends may be any mutually comparable values: ExactNumbers, or
+the integers over a power of two that the dyadic kernels of pc and
+construct run on.  Interval.contains, new_pc's overlap check, the cylinder
+and cycle checks of the certificate search and the family-robust check all
+call them.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ._record import record
 from .numeric import ExactNumber, Scalarish, as_exact
+
+
+def meet(a: tuple, b: tuple) -> Optional[tuple]:
+    """The intersection of intervals a and b as a tuple, or None when it is
+    empty."""
+    alo, ahi, alo_closed, ahi_closed = a
+    blo, bhi, blo_closed, bhi_closed = b
+    if alo > blo:
+        lo, lo_closed = alo, alo_closed
+    elif alo < blo:
+        lo, lo_closed = blo, blo_closed
+    else:
+        lo, lo_closed = alo, alo_closed and blo_closed
+    if ahi < bhi:
+        hi, hi_closed = ahi, ahi_closed
+    elif ahi > bhi:
+        hi, hi_closed = bhi, bhi_closed
+    else:
+        hi, hi_closed = ahi, ahi_closed and bhi_closed
+    if lo < hi or (lo == hi and lo_closed and hi_closed):
+        return lo, hi, lo_closed, hi_closed
+    return None
+
+
+def within(a: tuple, b: tuple) -> bool:
+    """Is the nonempty interval b a subset of interval a?"""
+    alo, ahi, alo_closed, ahi_closed = a
+    blo, bhi, blo_closed, bhi_closed = b
+    return (alo < blo or (alo == blo and (alo_closed or not blo_closed))) and (
+        bhi < ahi or (bhi == ahi and (ahi_closed or not bhi_closed)))
 
 
 @record
@@ -27,52 +67,8 @@ class Interval:
 
     def contains(self, x: Scalarish) -> bool:
         v = as_exact(x)
-        if v < self.lo or v > self.hi:
-            return False
-        if v == self.lo and not self.lo_closed:
-            return False
-        if v == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def is_disjoint(self, other: "Interval") -> bool:
-        if self.hi < other.lo or other.hi < self.lo:
-            return True
-        if self.hi == other.lo:
-            return not (self.hi_closed and other.lo_closed)
-        if other.hi == self.lo:
-            return not (other.hi_closed and self.lo_closed)
-        return False
-
-    def contains_interval(self, other: "Interval") -> bool:
-        if other.lo < self.lo or (
-            other.lo == self.lo and other.lo_closed and not self.lo_closed
-        ):
-            return False
-        if other.hi > self.hi or (
-            other.hi == self.hi and other.hi_closed and not self.hi_closed
-        ):
-            return False
-        return True
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        if self.lo > other.lo:
-            lo, lo_closed = self.lo, self.lo_closed
-        elif self.lo < other.lo:
-            lo, lo_closed = other.lo, other.lo_closed
-        else:
-            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
-        if self.hi < other.hi:
-            hi, hi_closed = self.hi, self.hi_closed
-        elif self.hi > other.hi:
-            hi, hi_closed = other.hi, other.hi_closed
-        else:
-            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
-        if lo > hi:
-            return None
-        if lo == hi and not (lo_closed and hi_closed):
-            return None
-        return Interval(lo, hi, lo_closed, hi_closed)
+        return within((self.lo, self.hi, self.lo_closed, self.hi_closed),
+                      (v, v, True, True))
 
     def __repr__(self) -> str:
         lb = "[" if self.lo_closed else "("

@@ -26,7 +26,7 @@ from .errors import (
     OutOfDomain,
     PeriodicOrbit,
 )
-from .intervals import Interval
+from .intervals import Interval, meet, within
 from .numeric import (
     Ball,
     ExactNumber,
@@ -52,9 +52,6 @@ class PiecewiseContraction:
     @property
     def n(self) -> int:
         return len(self.slopes)
-
-    def piece_interval(self, i: int) -> Interval:
-        return Interval(self.breakpoints[i - 1], self.breakpoints[i])
 
     def step(self, x: Scalarish) -> tuple[int, ExactNumber]:
         """(index of the piece containing x, f(x)): one exact orbit step."""
@@ -101,22 +98,16 @@ def new_pc(
             raise NotInjective(f"piece {i + 1} has slope 0")
         if not abs(s) < 1:
             raise NotContracting(f"piece {i + 1} slope {s} has |slope| >= 1")
-        lo_val = s * bps[i] + ics[i]
-        hi_val = s * bps[i + 1] + ics[i]
-        if s > 0:
-            img = Interval(lo_val, hi_val, lo_closed=True, hi_closed=False)
-        else:
-            img = Interval(hi_val, lo_val, lo_closed=False, hi_closed=True)
-        below = img.lo < 0
-        above = img.hi > 1 or (img.hi == 1 and img.hi_closed)
-        if below or above:
-            raise ImageEscapes(f"piece {i + 1} image {img} leaves [0, 1)")
+        u, v = s * bps[i] + ics[i], s * bps[i + 1] + ics[i]
+        img = (u, v, True, False) if s > 0 else (v, u, False, True)
+        if not within((0, 1, True, False), img):
+            raise ImageEscapes(f"piece {i + 1} image {Interval(*img)} leaves [0, 1)")
         images.append(img)
     for i in range(n):
         for j in range(i + 1, n):
-            if not images[i].is_disjoint(images[j]):
+            if meet(images[i], images[j]) is not None:
                 raise NotInjective(f"images of pieces {i + 1} and {j + 1} overlap")
-    return PiecewiseContraction(bps, sls, ics, tuple(images))
+    return PiecewiseContraction(bps, sls, ics, tuple(Interval(*img) for img in images))
 
 
 def coding(
@@ -292,56 +283,56 @@ def ball_orbit(
 # ------------------------------------------------------- periodic certificates
 
 
-def _affine_preimage(a: ExactNumber, c: ExactNumber, iv: Interval) -> Interval:
-    """Preimage of iv under x -> a*x + c (a nonzero)."""
-    u = (iv.lo - c) / a
-    v = (iv.hi - c) / a
-    if a > 0:
-        return Interval(u, v, iv.lo_closed, iv.hi_closed)
-    return Interval(v, u, iv.hi_closed, iv.lo_closed)
-
-
-def _compose_cycle(f: PiecewiseContraction | _DyadicPc, word: Sequence[int]):
+def _compose_cycle(f: PiecewiseContraction, word: Sequence[int]):
     """Cylinder of the word and the full-cycle affine map.
 
     Returns (C, a, c) where C is the set of x whose first len(word) letters
-    are exactly word, and f^p restricted to C is x -> a*x + c.  Returns None
-    when the cylinder is empty.  When f is a contraction's _DyadicPc the
-    same data comes back on scaled integers (_DyadicPc.compose_cycle).
+    are exactly word, as a (lo, hi, lo_closed, hi_closed) tuple, and f^p
+    restricted to C is x -> a*x + c.  Returns None when the cylinder is
+    empty.
     """
-    if isinstance(f, _DyadicPc):
-        return f.compose_cycle(word)
-    C = f.piece_interval(word[0])
+    bps, sls, ics = f.breakpoints, f.slopes, f.intercepts
+    C = (bps[word[0] - 1], bps[word[0]], True, False)
     a = ExactNumber(1)
     c = ExactNumber(0)
-    for m in range(1, len(word)):
-        s = f.slopes[word[m - 1] - 1]
-        b = f.intercepts[word[m - 1] - 1]
-        a = s * a
-        c = s * c + b
-        C = C.intersect(_affine_preimage(a, c, f.piece_interval(word[m])))
+    for prev, w in zip(word, word[1:]):
+        a = sls[prev - 1] * a
+        c = sls[prev - 1] * c + ics[prev - 1]
+        # the preimage of piece w under x -> a*x + c
+        u = (bps[w - 1] - c) / a
+        v = (bps[w] - c) / a
+        C = meet(C, (u, v, True, False) if a > 0 else (v, u, False, True))
         if C is None:
             return None
-    s = f.slopes[word[-1] - 1]
-    b = f.intercepts[word[-1] - 1]
-    return C, s * a, s * c + b
+    s = sls[word[-1] - 1]
+    return C, s * a, s * c + ics[word[-1] - 1]
 
 
 def _self_mapping_cycle(f: PiecewiseContraction | _DyadicPc, word: tuple[int, ...]):
-    """(C, a, c, fixed) for the word's cylinder C and cycle x -> a*x + c
-    when the cycle maps C into itself, else None; fixed is the cycle's
-    fixed point, or None when it lies outside C.  f may be a contraction
-    or its _DyadicPc, which gives the same answer."""
+    """(C, a, c, fixed) for the word's cylinder C, an Interval, and cycle
+    x -> a*x + c when the cycle maps C into itself, else None; fixed is the
+    cycle's fixed point, or None when it lies outside C.  f may be a
+    contraction or its _DyadicPc, which gives the same answer.
+
+    Containment need not be strict: endpoint flags carry the half-open
+    bookkeeping, so an image end on a closed end of C is sound (every point
+    of C still re-enters C and the period word repeats).  The common case
+    is a fixed point sitting exactly at 0.
+    """
+    if isinstance(f, _DyadicPc):
+        return f.self_mapping_cycle(word)
     built = _compose_cycle(f, word)
     if built is None:
         return None
-    if isinstance(f, _DyadicPc):
-        return f.self_mapping(*built)
-    if not _cycle_contracts(*built):
-        return None
     C, a, c = built
+    lo, hi, lo_closed, hi_closed = C
+    u, v = a * lo + c, a * hi + c
+    if not within(C, (u, v, lo_closed, hi_closed) if a > 0
+                  else (v, u, hi_closed, lo_closed)):
+        return None
     fixed = c / (ExactNumber(1) - a)
-    return C, a, c, (fixed if C.contains(fixed) else None)
+    inside = within(C, (fixed, fixed, True, True))
+    return Interval(*C), a, c, (fixed if inside else None)
 
 
 def _dyadic_scale(groups: Sequence[Sequence], slopes: Sequence):
@@ -394,60 +385,36 @@ class _DyadicPc:
         e, (bps, ics), steps = scaled
         return cls(e, bps, ics, steps)
 
-    def compose_cycle(self, word: Sequence[int]):
-        """((lo, lo_closed, hi, hi_closed), sign, K, c): the word's cylinder
-        with ends over 2**e and its cycle x -> sign * x / 2**K +
-        c / 2**(e + K), or None when the cylinder is empty."""
+    def self_mapping_cycle(self, word: Sequence[int]):
+        """_self_mapping_cycle's answer, with the word's cylinder and cycle
+        x -> sign * x / 2**K + c / 2**(e + K) on scaled integers."""
         bps, ics, steps = self.bps, self.ics, self.steps
-        lo, lo_closed, hi, hi_closed = bps[word[0] - 1], True, bps[word[0]], False
+        C = (bps[word[0] - 1], bps[word[0]], True, False)
         sign, shift, c = 1, 0, 0
         for prev, w in zip(word, word[1:]):
             s, k = steps[prev - 1]
             sign *= s
             shift += k
             c = s * c + (ics[prev - 1] << shift)
-            # preimage of piece w, intersected as Interval.intersect does
+            # the preimage of piece w
             u = (bps[w - 1] << shift) - c
             v = (bps[w] << shift) - c
-            if sign > 0:
-                plo, plo_closed, phi, phi_closed = u, True, v, False
-            else:
-                plo, plo_closed, phi, phi_closed = -v, False, -u, True
-            if plo > lo:
-                lo, lo_closed = plo, plo_closed
-            elif plo == lo:
-                lo_closed = lo_closed and plo_closed
-            if phi < hi:
-                hi, hi_closed = phi, phi_closed
-            elif phi == hi:
-                hi_closed = hi_closed and phi_closed
-            if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            C = meet(C, (u, v, True, False) if sign > 0 else (-v, -u, False, True))
+            if C is None:
                 return None
         s, k = steps[word[-1] - 1]
+        sign *= s
         shift += k
         c = s * c + (ics[word[-1] - 1] << shift)
-        return (lo, lo_closed, hi, hi_closed), sign * s, shift, c
-
-    def self_mapping(self, C: tuple, sign: int, shift: int, c: int):
-        """_self_mapping_cycle's answer from compose_cycle's data."""
-        lo, lo_closed, hi, hi_closed = C
-        # the image of C over 2**(e + shift), contained as in _cycle_contracts
-        if sign > 0:
-            img = (lo + c, lo_closed, hi + c, hi_closed)
-        else:
-            img = (c - hi, hi_closed, c - lo, lo_closed)
-        lo_k, hi_k = lo << shift, hi << shift
-        if img[0] < lo_k or (img[0] == lo_k and img[1] and not lo_closed):
-            return None
-        if img[2] > hi_k or (img[2] == hi_k and img[3] and not hi_closed):
+        lo, hi, lo_closed, hi_closed = C
+        # C and its image over 2**(e + shift)
+        img = ((lo + c, hi + c, lo_closed, hi_closed) if sign > 0
+               else (c - hi, c - lo, hi_closed, lo_closed))
+        if not within((lo << shift, hi << shift, lo_closed, hi_closed), img):
             return None
         # the fixed point is c / (2**e * den): compare c with den times the ends
         den = (1 << shift) - sign
-        inside = not (
-            c < lo * den or c > hi * den
-            or (c == lo * den and not lo_closed)
-            or (c == hi * den and not hi_closed)
-        )
+        inside = within((lo * den, hi * den, lo_closed, hi_closed), (c, c, True, True))
         scale = 1 << self.e
         return (
             Interval(Fraction(lo, scale), Fraction(hi, scale), lo_closed, hi_closed),
@@ -455,22 +422,6 @@ class _DyadicPc:
             ExactNumber(Fraction(c, scale << shift)),
             ExactNumber(Fraction(c, scale * den)) if inside else None,
         )
-
-
-def _cycle_contracts(C: Interval, a: ExactNumber, c: ExactNumber) -> bool:
-    """True when the cycle maps the cylinder into itself as a point set.
-
-    Containment need not be strict: endpoint flags carry the half-open
-    bookkeeping, so equality at a closed end of C is sound (every point of
-    C still re-enters C and the period word repeats).  The common case is a
-    fixed point sitting exactly at 0."""
-    lo = a * C.lo + c
-    hi = a * C.hi + c
-    if a > 0:
-        img = Interval(lo, hi, C.lo_closed, C.hi_closed)
-    else:
-        img = Interval(hi, lo, C.hi_closed, C.lo_closed)
-    return C.contains_interval(img)
 
 
 @record
@@ -714,17 +665,8 @@ def _certify_exact(
             C, a, c, fixed = cycle
             if not C.contains(orbit_point(m)) or fixed is None:
                 continue
-            cert = PeriodicCertificate(
-                start=x0,
-                q=m,
-                p=p,
-                preperiod=tuple(letters[:m]),
-                period=word,
-                cylinder=C,
-                cycle_slope=a,
-                cycle_intercept=c,
-                fixed_point=fixed,
-            )
+            cert = PeriodicCertificate(x0, m, p, tuple(letters[:m]), word,
+                                       C, a, c, fixed)
             if _accept is None or _accept(cert):
                 return cert
     return None
@@ -742,12 +684,7 @@ def check_certificate(f: PiecewiseContraction, cert: PeriodicCertificate) -> boo
     if cycle is None:
         return False
     C, a, c, fixed = cycle
-    if (C.lo, C.hi, C.lo_closed, C.hi_closed) != (
-        cert.cylinder.lo,
-        cert.cylinder.hi,
-        cert.cylinder.lo_closed,
-        cert.cylinder.hi_closed,
-    ):
+    if C != cert.cylinder:
         return False
     if a != cert.cycle_slope or c != cert.cycle_intercept:
         return False

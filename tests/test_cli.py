@@ -233,6 +233,18 @@ def test_construct_refuses_overwrite_without_force(maps, tmp_path):
     assert forced.exit_code == 0
 
 
+def test_construct_refusal_writes_no_sidecar(maps, tmp_path):
+    """An existing --out without --force is refused before any file is
+    written, the sidecar that construct writes besides included."""
+    out = tmp_path / "built.json"
+    out.write_text("kept", encoding="utf-8")
+    res = run(command="construct", map_path=maps["golden.json"], out_path=str(out))
+    assert res.exit_code == 1
+    assert "--force" in json.loads(res.err)["detail"]
+    assert out.read_text(encoding="utf-8") == "kept"
+    assert not (tmp_path / "built.json.sidecar.json").exists()
+
+
 def test_construct_output_is_deterministic(maps):
     a = run(command="construct", map_path=maps["golden.json"], depth=64)
     b = run(command="construct", map_path=maps["golden.json"], depth=64)

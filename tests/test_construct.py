@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from ietpc import (
     Ball,
+    Interval,
     InvalidSeed,
     NotTransitiveEvidence,
     OrbitHitsBreakpoint,
@@ -411,20 +412,21 @@ def test_representative_lock_in_is_not_family_robust(cpc64):
 
 def test_certify_does_word_work_once_per_period_word(cpc64, monkeypatch):
     """The refused golden search meets 68 distinct period words (474 times
-    over, across m and overlapping candidates); the cylinder composition and
-    the family-robust word half each run once per distinct word."""
+    over, across m and overlapping candidates); the cylinder and cycle
+    check and the family-robust word half each run once per distinct
+    word."""
     composed, robust = [], []
-    compose_cycle, robust_cycle = pc._compose_cycle, construct._robust_cycle
+    self_mapping_cycle, robust_cycle = pc._self_mapping_cycle, construct._robust_cycle
 
     def counted_compose(f, word):
         composed.append(tuple(word))
-        return compose_cycle(f, word)
+        return self_mapping_cycle(f, word)
 
     def counted_robust(family, word):
         robust.append(tuple(word))
         return robust_cycle(family, word)
 
-    monkeypatch.setattr(pc, "_compose_cycle", counted_compose)
+    monkeypatch.setattr(pc, "_self_mapping_cycle", counted_compose)
     monkeypatch.setattr(construct, "_robust_cycle", counted_robust)
     assert certify_periodic(cpc64, Fraction(1, 3)) is None
     assert len(composed) == len(set(composed)) == 68
@@ -444,9 +446,19 @@ def test_empirical_factor_continues_in_balls_past_the_bit_budget(cpc64):
 # ------------------------------------------------ search memo equivalence
 
 
+def _inside(C, lo, hi, lo_closed, hi_closed):
+    """Is the nonempty interval with these ends inside the cylinder tuple C?
+    Written out here, not taken from ietpc.intervals, so the reference
+    shares no interval code with the search it checks."""
+    clo, chi, clo_closed, chi_closed = C
+    return (clo < lo or (clo == lo and (clo_closed or not lo_closed))) and (
+        hi < chi or (hi == chi and (chi_closed or not hi_closed)))
+
+
 def _reference_certify(f, x, budget, bit_budget, accept=None):
     """The certificate search without memos: every m composes its rotation
-    of the period word and re-derives the cycle's verdicts afresh."""
+    of the period word on the exact path and re-derives the cycle's
+    verdicts afresh."""
     x0 = as_exact(x)
     candidates, float_letters = pc._detection_candidates(f, x0, budget)
     orbit, letters = [x0], []
@@ -472,15 +484,20 @@ def _reference_certify(f, x, budget, bit_budget, accept=None):
             if built is None:
                 continue
             C, a, c = built
-            if not pc._cycle_contracts(C, a, c):
+            lo, hi, lo_closed, hi_closed = C
+            u, v = a * lo + c, a * hi + c
+            image = ((u, v, lo_closed, hi_closed) if a > 0
+                     else (v, u, hi_closed, lo_closed))
+            if not _inside(C, *image):
                 continue
-            if not C.contains(orbit_point(m)):
+            point = orbit_point(m)
+            if not _inside(C, point, point, True, True):
                 continue
             fixed = c / (ExactNumber(1) - a)
-            if not C.contains(fixed):
+            if not _inside(C, fixed, fixed, True, True):
                 continue
             cert = PeriodicCertificate(x0, m, p, tuple(letters[:m]), word,
-                                       C, a, c, fixed)
+                                       Interval(*C), a, c, fixed)
             if accept is None or accept(cert):
                 return cert
     return None
@@ -650,8 +667,7 @@ def test_non_dyadic_maps_never_enter_the_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("entered the dyadic kernel")
 
-    monkeypatch.setattr(pc._DyadicPc, "compose_cycle", refuse)
-    monkeypatch.setattr(pc._DyadicPc, "self_mapping", refuse)
+    monkeypatch.setattr(pc._DyadicPc, "self_mapping_cycle", refuse)
     sixtieths = new_pc([0, Fraction(20, 60), 1], [Fraction(1, 2)] * 2,
                        [Fraction(60, 120), Fraction(-20, 120)])
     cert = certify_periodic(sixtieths, 0)
