@@ -415,21 +415,21 @@ def test_certify_does_word_work_once_per_period_word(cpc64, monkeypatch):
     over, across m and overlapping candidates); the cylinder and cycle
     check and the family-robust word half each run once per distinct
     word."""
-    composed, robust = [], []
+    cycled, robust = [], []
     self_mapping_cycle, robust_cycle = pc._self_mapping_cycle, construct._robust_cycle
 
-    def counted_compose(f, word):
-        composed.append(tuple(word))
+    def counted_cycle(f, word):
+        cycled.append(tuple(word))
         return self_mapping_cycle(f, word)
 
     def counted_robust(family, word):
         robust.append(tuple(word))
         return robust_cycle(family, word)
 
-    monkeypatch.setattr(pc, "_self_mapping_cycle", counted_compose)
+    monkeypatch.setattr(pc, "_self_mapping_cycle", counted_cycle)
     monkeypatch.setattr(construct, "_robust_cycle", counted_robust)
     assert certify_periodic(cpc64, Fraction(1, 3)) is None
-    assert len(composed) == len(set(composed)) == 68
+    assert len(cycled) == len(set(cycled)) == 68
     assert len(robust) == len(set(robust)) == 68
 
 
